@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .apolarity import apolar_tuple, in_U
+from .apolarity import apolar_tuple
 from .duality import (
     INFINITY,
     Family,
@@ -41,7 +41,7 @@ from .invariants import (
     k_cubic,
     k_quartic,
 )
-from .milnor import PolyTuple, associated_form, hilbert_function
+from .milnor import PolyTuple, associated_form, hilbert_function, is_finite_colength
 from .poly import Poly, Space, grlex_key, parse_poly, render_poly
 from .suites import SUITE_NAMES, run_suite
 
@@ -90,9 +90,11 @@ def _infer_space(text):
     return Space.E if has_e else Space.Z
 
 
-def _parse_input(text, nvars, space):
+def _parse_input(text, nvars, space=None):
+    if nvars < 1:
+        raise InputError(f"number of variables must be positive, got {nvars}")
     f = parse_poly(text, nvars, _infer_space(text))
-    return f if f.space is space else f.retag(space)
+    return f if space is None or f.space is space else f.retag(space)
 
 
 def _poly_terms(p):
@@ -132,7 +134,7 @@ def cmd_inverse_system(text, nvars, degree):
     slice_or_not = apolar_tuple(F, degree)
     if isinstance(slice_or_not, PolyTuple):
         results = {
-            "in_U": in_U(F, degree),
+            "in_U": is_finite_colength(slice_or_not),
             "slice_dimension": nvars,
             "slice_basis": [render_poly(g) for g in slice_or_not.forms],
         }
@@ -180,7 +182,7 @@ INVARIANT_NAMES = ("cat", "i2", "a4", "a6", "delta", "j", "k")
 def cmd_invariant(name, text, nvars=None):
     if nvars is None:
         nvars = _max_variable_index(text)
-    f = parse_poly(text, nvars, _infer_space(text))
+    f = _parse_input(text, nvars)
     value = _invariant_value(name, f)
     return Report(
         command="invariant",

@@ -16,9 +16,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AssoformError, ExcludedParameterError, InputError
+from .errors import AssoformError, ExcludedParameterError, InputError, NondegeneracyError
 from .invariants import TernaryCubicFamily, j_cubic_family, j_quartic
-from .milnor import associated_form, is_nondegenerate
+from .milnor import associated_form
 from .poly import ActionKind, Poly, Space, act
 
 
@@ -97,9 +97,10 @@ def involution_check(f):
     so the second step is undefined.
     """
     first = associated_form(f).form.retag(Space.Z)
-    if not is_nondegenerate(first):
+    try:
+        second = associated_form(first).form.retag(Space.Z)
+    except NondegeneracyError:
         return InvolutionStatus.IMAGE_DEGENERATE
-    second = associated_form(first).form.retag(Space.Z)
     if not proportional(second, f):
         raise AssoformError("iterated associated form left the line of the input")
     return InvolutionStatus.FIXED

@@ -231,13 +231,14 @@ def associated_form(f):
     if d is None or d < 3:
         raise InputError("associated forms are defined for degree at least 3")
     grad = gradient(f)
-    if not is_finite_colength(grad):
+    try:
+        return associated_form_tuple(grad)
+    except FiniteColengthError as exc:
         raise NondegeneracyError(
             f"form has a non-isolated singularity "
             f"(gradient ideal not full in degree {finiteness_degree(grad)})",
             degree=finiteness_degree(grad),
-        )
-    return associated_form_tuple(grad)
+        ) from exc
 
 
 def hilbert_function(ft):

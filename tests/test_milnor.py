@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import pytest
 
+from assoform import milnor
 from assoform.errors import FiniteColengthError, InputError, NondegeneracyError
 from assoform.linalg import MatrixQ
 from assoform.milnor import (
@@ -166,6 +167,16 @@ def test_associated_form_tuple_swap_flips_sign():
 def test_associated_form_factors_through_gradient():
     for f in (zp("z1^4 + z2^4"), quartic_family(1), cubic_family(2)):
         assert associated_form(f).form == associated_form_tuple(gradient(f)).form
+
+
+def test_associated_form_eliminates_each_degree_once(monkeypatch):
+    calls = []
+    for name in ("rank_rows", "nullspace_rows"):
+        real = getattr(milnor, name)
+        counted = lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
+        monkeypatch.setattr(milnor, name, counted)
+    associated_form(quartic_family(1))
+    assert sorted(calls) == ["nullspace_rows", "rank_rows"]
 
 
 def test_associated_form_diagonal():
