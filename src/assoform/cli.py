@@ -3,7 +3,8 @@
 stdout carries a single JSON document with sorted keys and all rationals
 rendered as num/den strings, so a fixed seed produces byte-identical
 output; timing and progress go to stderr. Exit codes: 0 success, 1
-verification failure, 2 invalid or degenerate input, 3 parse error.
+verification failure, 2 invalid or degenerate input (usage errors
+included), 3 parse error.
 """
 
 from __future__ import annotations
@@ -22,12 +23,19 @@ from .duality import (
     INFINITY,
     Family,
     FamilyPoint,
+    dual_parameter,
     family_form,
     involution_check,
     j_transform_check,
     mobius,
 )
-from .errors import InputError, NondegeneracyError, PolyParseError, VanishingInvariantError
+from .errors import (
+    ExcludedParameterError,
+    InputError,
+    NondegeneracyError,
+    PolyParseError,
+    VanishingInvariantError,
+)
 from .invariants import (
     TernaryCubicFamily,
     aronhold_a4,
@@ -237,12 +245,10 @@ def cmd_duality_scan(family_name, ts):
         except VanishingInvariantError:
             j = None
             mob = None
-        if family is Family.BINARY_QUARTIC:
-            admissible = point.t not in (0, 6, -6)
-            dual_t = Fraction(-12) / point.t if admissible else None
-        else:
-            admissible = point.t not in (0, 6)
-            dual_t = Fraction(-18) / point.t if admissible else None
+        try:
+            dual_t = dual_parameter(point)
+        except ExcludedParameterError:
+            dual_t = None
         rows.append(
             {
                 "t": point.t,
@@ -250,7 +256,7 @@ def cmd_duality_scan(family_name, ts):
                 "mobius_image": mob,
                 "involution": status,
                 "dual_t": dual_t,
-                "j_transform": j_transform_check(point) if admissible else None,
+                "j_transform": None if dual_t is None else j_transform_check(point),
             }
         )
     return Report(
@@ -268,8 +274,14 @@ def _parse_rational(text):
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors become error documents instead of argparse's exit 2
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="assoform",
         description="Exact associated forms, classical invariants, and verification suites.",
     )
@@ -309,7 +321,11 @@ def _build_parser():
         "duality-scan", help="involution status and J transforms along a family"
     )
     p.add_argument("family", choices=[f.value for f in Family])
-    p.add_argument("--t", required=True, help="comma-separated rational parameters")
+    p.add_argument(
+        "--t",
+        required=True,
+        help="comma-separated rationals; write --t=-6,1 when the first is negative",
+    )
     p.set_defaults(
         run=lambda a: cmd_duality_scan(
             a.family, [_parse_rational(x) for x in a.t.split(",")]
@@ -341,14 +357,16 @@ def _configure_logging():
 
 def main(argv=None):
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     start = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         report = args.run(args)
     except PolyParseError as exc:
-        return _emit_error(args.command, exc, 3)
+        return _emit_error(command, exc, 3)
     except InputError as exc:
-        return _emit_error(args.command, exc, 2)
+        return _emit_error(command, exc, 2)
     report.timing_ms = int((time.monotonic() - start) * 1000)
     print(report.to_json())
     print(f"completed in {report.timing_ms} ms", file=sys.stderr)

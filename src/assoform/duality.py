@@ -106,7 +106,7 @@ def involution_check(f):
     return InvolutionStatus.FIXED
 
 
-def _dual_parameter(p):
+def dual_parameter(p):
     if p.t == 0:
         raise ExcludedParameterError("duality needs t != 0")
     if p.family is Family.BINARY_QUARTIC:
@@ -129,7 +129,7 @@ def orbit_duality_check(p, C):
     """
     if C.det() != 1:
         raise InputError("orbit duality is stated for determinant-one matrices")
-    partner = FamilyPoint(p.family, _dual_parameter(p))
+    partner = FamilyPoint(p.family, dual_parameter(p))
     f = family_form(p)
     g = family_form(partner)
     lhs = associated_form(act(C, f, ActionKind.ON_FORMS)).form.retag(Space.Z)
@@ -144,7 +144,7 @@ def j_transform_check(p):
     1/J(c_t). Parameters where the Mobius image escapes to infinity are
     excluded (the image form is degenerate exactly there).
     """
-    _dual_parameter(p)  # same exclusions, same error reporting
+    dual_parameter(p)  # same exclusions, same error reporting
     f = family_form(p)
     F = associated_form(f).form
     if p.family is Family.BINARY_QUARTIC:

@@ -2,8 +2,8 @@
 
 Coefficients are drawn uniformly from {-5,...,5} minus {0} so exact
 arithmetic stays cheap; draws that violate a requested property
-(nondegeneracy, finite colength, invertibility) are rejected and the
-rejection is logged.
+(nondegeneracy, finite colength, invertibility) are rejected by `draw`,
+which logs one line per rejection and gives up after _MAX_REJECTIONS.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .linalg import MatrixQ
 from .milnor import PolyTuple, is_finite_colength, is_nondegenerate
-from .poly import Poly, Space, monomial_basis, render_poly
+from .poly import Poly, Space, monomial_basis
 
 logger = logging.getLogger("assoform.sampling")
 
@@ -31,35 +31,44 @@ def random_form(rng, nvars, degree, space=Space.Z):
     )
 
 
-def random_nondegenerate_form(rng, nvars, degree):
+def draw(rng, make, ok, what):
+    """Call make(rng) until ok accepts; log each rejection, give up after the cap."""
     for _ in range(_MAX_REJECTIONS):
-        f = random_form(rng, nvars, degree)
-        if is_nondegenerate(f):
-            return f
-        logger.info("rejected degenerate draw: %s", render_poly(f))
-    raise RuntimeError("rejection sampling failed to find a nondegenerate form")
+        x = make(rng)
+        if ok(x):
+            return x
+        logger.info("rejected draw, wanted %s", what)
+    raise RuntimeError(f"rejection sampling failed to find {what}")
+
+
+def random_nondegenerate_form(rng, nvars, degree):
+    return draw(
+        rng,
+        lambda r: random_form(r, nvars, degree),
+        is_nondegenerate,
+        "a nondegenerate form",
+    )
 
 
 def random_finite_colength_tuple(rng, nvars, degree):
     """Tuple of nvars random forms of the given degree with finite colength."""
-    for _ in range(_MAX_REJECTIONS):
-        ft = PolyTuple([random_form(rng, nvars, degree) for _ in range(nvars)])
-        if is_finite_colength(ft):
-            return ft
-        logger.info(
-            "rejected infinite-colength draw: %s",
-            "; ".join(render_poly(f) for f in ft.forms),
-        )
-    raise RuntimeError("rejection sampling failed to find a finite-colength tuple")
+    return draw(
+        rng,
+        lambda r: PolyTuple([random_form(r, nvars, degree) for _ in range(nvars)]),
+        is_finite_colength,
+        "a finite-colength tuple",
+    )
 
 
 def random_invertible_matrix(rng, n, bound=3):
-    for _ in range(_MAX_REJECTIONS):
-        m = MatrixQ([[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)])
-        if m.det() != 0:
-            return m
-        logger.info("rejected singular matrix draw")
-    raise RuntimeError("rejection sampling failed to find an invertible matrix")
+    return draw(
+        rng,
+        lambda r: MatrixQ(
+            [[Fraction(r.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        ),
+        lambda m: m.det() != 0,
+        "an invertible matrix",
+    )
 
 
 def random_unimodular_matrix(rng, n, shears=4, bound=3):
@@ -84,12 +93,13 @@ def random_unimodular_matrix(rng, n, shears=4, bound=3):
 
 def random_linear_frame(rng, bound=3):
     """Pair of binary linear forms with a nonzero coefficient determinant."""
-    for _ in range(_MAX_REJECTIONS):
-        entries = [Fraction(rng.randint(-bound, bound)) for _ in range(4)]
-        if entries[0] * entries[3] - entries[1] * entries[2] == 0:
-            logger.info("rejected degenerate linear frame draw")
-            continue
-        x = Poly(2, Space.Z, {(1, 0): entries[0], (0, 1): entries[1]})
-        y = Poly(2, Space.Z, {(1, 0): entries[2], (0, 1): entries[3]})
-        return x, y
-    raise RuntimeError("rejection sampling failed to find an invertible frame")
+    a, b, c, d = draw(
+        rng,
+        lambda r: [Fraction(r.randint(-bound, bound)) for _ in range(4)],
+        lambda e: e[0] * e[3] - e[1] * e[2] != 0,
+        "an invertible linear frame",
+    )
+    return (
+        Poly(2, Space.Z, {(1, 0): a, (0, 1): b}),
+        Poly(2, Space.Z, {(1, 0): c, (0, 1): d}),
+    )

@@ -1,7 +1,8 @@
 """Randomized verification suites behind the command-line `verify` command.
 
-Case inputs are generated sequentially from a seeded PRNG and evaluated
-in order, so a given seed always produces a byte-identical report.
+Each suite generator draws one case from a seeded PRNG and evaluates it
+before the next one is drawn; evaluation never touches the PRNG, so a
+given seed always produces a byte-identical report.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from .duality import (
     Family,
     FamilyPoint,
     InvolutionStatus,
+    dual_parameter,
     family_form,
     involution_check,
     j_transform_check,
     orbit_duality_check,
     proportional,
 )
-from .errors import InputError
+from .errors import ExcludedParameterError, InputError
 from .invariants import (
     SylvesterQuintic,
     TernaryCubicFamily,
@@ -40,7 +42,7 @@ from .apolarity import apolar_tuple, inverse_system_check, same_span
 from .poly import ActionKind, Poly, Space, act, render_poly
 from .sampling import (
     COEFF_POOL,
-    logger,
+    draw,
     random_finite_colength_tuple,
     random_invertible_matrix,
     random_linear_frame,
@@ -70,101 +72,77 @@ def _render_tuple(ft):
 
 
 def _gen_quartic(rng, count):
-    cases = []
     for _ in range(count):
         f = random_nondegenerate_form(rng, 2, 4)
-        cases.append((render_poly(f), lambda f=f: verify_quartic_identity(f)))
-    return cases
+        yield render_poly(f), verify_quartic_identity(f)
+
+
+def _coefficients(rng, k):
+    return [Fraction(rng.choice(COEFF_POOL)) for _ in range(k)]
 
 
 def _gen_cubic(rng, count):
-    cases = []
     for _ in range(count):
-        while True:
-            p = TernaryCubicFamily(
-                Fraction(rng.choice(COEFF_POOL)),
-                Fraction(rng.choice(COEFF_POOL)),
-                Fraction(rng.choice(COEFF_POOL)),
-                Fraction(rng.choice(COEFF_POOL)),
-            )
-            if delta_cubic_family(p) != 0:
-                break
-            logger.info("rejected zero-discriminant cubic draw: %s", p)
-        cases.append(
-            (render_poly(p.to_poly()), lambda p=p: verify_cubic_identity(p))
+        p = draw(
+            rng,
+            lambda r: TernaryCubicFamily(*_coefficients(r, 4)),
+            lambda p: delta_cubic_family(p) != 0,
+            "a cubic with nonzero discriminant",
         )
-    return cases
+        yield render_poly(p.to_poly()), verify_cubic_identity(p)
+
+
+def _sylvester_quintic(rng):
+    x, y = random_linear_frame(rng)
+    return SylvesterQuintic(*_coefficients(rng, 3), x, y)
 
 
 def _gen_quintic(rng, count):
-    cases = []
     for _ in range(count):
-        while True:
-            x, y = random_linear_frame(rng)
-            s = SylvesterQuintic(
-                Fraction(rng.choice(COEFF_POOL)),
-                Fraction(rng.choice(COEFF_POOL)),
-                Fraction(rng.choice(COEFF_POOL)),
-                x,
-                y,
-            )
-            if quintic_covariants(s).delta != 0:
-                break
-            logger.info("rejected zero-discriminant quintic draw")
-        desc = (
-            f"a={s.a} b={s.b} c={s.c} "
-            f"X={render_poly(s.X)} Y={render_poly(s.Y)}"
+        s = draw(
+            rng,
+            _sylvester_quintic,
+            lambda s: quintic_covariants(s).delta != 0,
+            "a quintic with nonzero discriminant",
         )
-        cases.append(
-            (
-                desc,
-                lambda s=s: verify_quintic_relation(s) and verify_quintic_identity(s),
-            )
-        )
-    return cases
+        desc = f"a={s.a} b={s.b} c={s.c} X={render_poly(s.X)} Y={render_poly(s.Y)}"
+        yield desc, verify_quintic_relation(s) and verify_quintic_identity(s)
 
 
 def _involution_case(point):
-    f = family_form(point)
-    if point.family is Family.BINARY_QUARTIC:
-        exceptional = point.t in (0, 6, -6)
-    else:
-        exceptional = point.t in (0, 6)
-    status = involution_check(f)
-    if exceptional:
+    status = involution_check(family_form(point))
+    try:
+        dual_parameter(point)
+    except ExcludedParameterError:
         return status is InvolutionStatus.IMAGE_DEGENERATE
     return status is InvolutionStatus.FIXED and j_transform_check(point)
 
 
+def _family_point(family, t):
+    try:
+        return FamilyPoint(family, t)
+    except InputError:
+        return None
+
+
 def _gen_involution(rng, count):
-    cases = []
     for k in range(count):
         family = Family.BINARY_QUARTIC if k % 2 == 0 else Family.TERNARY_CUBIC
-        while True:
-            t = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-            try:
-                point = FamilyPoint(family, t)
-            except InputError:
-                logger.info("rejected excluded family parameter t=%s", t)
-                continue
-            break
-        cases.append(
-            (
-                f"{family.value} t={point.t}",
-                lambda point=point: _involution_case(point),
-            )
+        point = draw(
+            rng,
+            lambda r: _family_point(family, Fraction(r.randint(-9, 9), r.randint(1, 3))),
+            lambda p: p is not None,
+            f"an admissible {family.value} parameter",
         )
+        yield f"{family.value} t={point.t}", _involution_case(point)
         # every few parameters, also check the orbit form of the duality
         if k % 5 == 0 and point.t != 0 and point.t not in (6, -6):
             n = 2 if family is Family.BINARY_QUARTIC else 3
             C = random_unimodular_matrix(rng, n)
-            cases.append(
-                (
-                    f"{family.value} t={point.t} orbit C={_render_matrix(C)}",
-                    lambda point=point, C=C: orbit_duality_check(point, C),
-                )
+            yield (
+                f"{family.value} t={point.t} orbit C={_render_matrix(C)}",
+                orbit_duality_check(point, C),
             )
-    return cases
 
 
 def _phi_equivariant(f, C):
@@ -193,14 +171,13 @@ def _psi_equivariant(ft, C1, C2):
 
 
 def _gen_equivariance(rng, count):
-    cases = []
     shapes = ((2, 4), (2, 5), (3, 3), (3, 4))
     for _ in range(count):
         n, d = rng.choice(shapes)
         f = random_nondegenerate_form(rng, n, d)
         C = random_invertible_matrix(rng, n)
         desc = f"n={n} d={d} f={render_poly(f)} C={_render_matrix(C)}"
-        cases.append((desc, lambda f=f, C=C: _phi_equivariant(f, C)))
+        yield desc, _phi_equivariant(f, C)
     for _ in range(count // 2):
         n = rng.choice((2, 3))
         dd = rng.choice((2, 3))
@@ -211,10 +188,7 @@ def _gen_equivariance(rng, count):
             f"tuple n={n} deg={dd} f=({_render_tuple(ft)}) "
             f"C1={_render_matrix(C1)} C2={_render_matrix(C2)}"
         )
-        cases.append(
-            (desc, lambda ft=ft, C1=C1, C2=C2: _psi_equivariant(ft, C1, C2))
-        )
-    return cases
+        yield desc, _psi_equivariant(ft, C1, C2)
 
 
 def _apolarity_case(ft, d):
@@ -232,18 +206,11 @@ def _apolarity_case(ft, d):
 
 
 def _gen_apolarity(rng, count):
-    cases = []
     for _ in range(count):
         n = rng.choice((2, 3))
         d = rng.choice((3, 4)) if n == 2 else 3
         ft = random_finite_colength_tuple(rng, n, d - 1)
-        cases.append(
-            (
-                f"n={n} d={d} f=({_render_tuple(ft)})",
-                lambda ft=ft, d=d: _apolarity_case(ft, d),
-            )
-        )
-    return cases
+        yield f"n={n} d={d} f=({_render_tuple(ft)})", _apolarity_case(ft, d)
 
 
 def _expected_hilbert(n, dd):
@@ -260,19 +227,14 @@ def _expected_hilbert(n, dd):
 
 
 def _gen_hilbert(rng, count):
-    cases = []
     shapes = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
     for _ in range(count):
         n, dd = rng.choice(shapes)
         ft = random_finite_colength_tuple(rng, n, dd)
-        expected = _expected_hilbert(n, dd)
-        cases.append(
-            (
-                f"n={n} deg={dd} f=({_render_tuple(ft)})",
-                lambda ft=ft, expected=expected: hilbert_function(ft) == expected,
-            )
+        yield (
+            f"n={n} deg={dd} f=({_render_tuple(ft)})",
+            hilbert_function(ft) == _expected_hilbert(n, dd),
         )
-    return cases
 
 
 _GENERATORS = {
@@ -294,11 +256,10 @@ def run_suite(suite, seed, count):
         )
     if count < 1:
         raise InputError("count must be positive")
-    rng = random.Random(seed)
-    cases = _GENERATORS[suite](rng, count)
+    cases = _GENERATORS[suite](random.Random(seed), count)
     records = [
-        {"index": i, "case": desc, "pass": bool(fn())}
-        for i, (desc, fn) in enumerate(cases)
+        {"index": i, "case": desc, "pass": passed}
+        for i, (desc, passed) in enumerate(cases)
     ]
     failures = [r["case"] for r in records if not r["pass"]]
     return {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,63 @@ def test_duality_scan_excluded_parameter_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("assoc", "z1^4"),
+        ("verify", "nope"),
+        ("assoc", "z1^4", "--n", "two", "--d", "4"),
+        ("duality-scan", "cubic", "--t", "-6,0"),
+        (),
+    ],
+    ids=str,
+)
+def test_usage_error_prints_error_document(capsys, argv):
+    rc, doc, _ = run(capsys, *argv)
+    assert rc == 2
+    assert doc["status"] == "error"
+    assert doc["command"] == (argv[0] if argv else None)
+    assert doc["results"]["error"]["message"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_json_uses_sorted_keys(capsys):
     _, _, out = run(capsys, "hilbert", "z1^2", "z2^2")
     assert out.index('"command"') < out.index('"inputs"') < out.index('"results"')
+
+
+# SHA-256 of stdout at fixed seeds and parameters; a change that alters any
+# of these reports changes what a seed means, so it must update them on purpose
+PINNED_STDOUT = {
+    ("verify", "quartic", "--seed", "0", "--count", "4"):
+        "56aed53cd19f9bc50baf71c7806c68f2a58bf0089d958167e2142516bbbe5d5e",
+    ("verify", "quintic", "--seed", "0", "--count", "4"):
+        "b4f090ff34390a50a59c46455a3f770d0c6e8493e6e8d3f1421139c6d04b4b3a",
+    ("verify", "cubic", "--seed", "0", "--count", "4"):
+        "6ad39deb104cd23258892910775cbc45bc6a53ce6c0e5dc624b90cada77c3c80",
+    ("verify", "involution", "--seed", "0", "--count", "4"):
+        "c56cd1198b97bec2c3bd99c71c9c1c700e4337447ee9908b0392408e390fd7e1",
+    ("verify", "equivariance", "--seed", "0", "--count", "4"):
+        "a5f5b78daa7cf04d67add0e9eb771c409b7837eb786c99855292a01661e74b18",
+    ("verify", "apolarity", "--seed", "0", "--count", "4"):
+        "bcd996cba0943fe8405dc38c733557d3e488d1b4fcdf716f10ce07270c5b9892",
+    ("verify", "hilbert", "--seed", "0", "--count", "4"):
+        "e8c4a2717088e920a95d2132d46f13b6085dec6ead2348ed84766f6b0c535714",
+    ("duality-scan", "quartic", "--t=0,1,3,6,-6,1/2"):
+        "03b7a372084f1b3cf1b131e61137ddb2fd3bbf74c2f9e099f19c0052f1fade2d",
+    ("duality-scan", "cubic", "--t=0,1,6,-6,3/2"):
+        "eee4cdfadf5f23b30d2008668a84440e7bdfb2e39f52a77e3344dfcb2230c3cd",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    rc, _, out = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
