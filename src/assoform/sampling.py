@@ -1,9 +1,10 @@
 """Seeded random generators for forms, tuples, matrices, and frames.
 
 Coefficients are drawn uniformly from {-5,...,5} minus {0} so exact
-arithmetic stays cheap; draws that violate a requested property
-(nondegeneracy, finite colength, invertibility) are rejected by `draw`,
-which logs one line per rejection and gives up after _MAX_REJECTIONS.
+arithmetic stays cheap. A draw is rejected by `draw` when the computation
+that consumes it raises its own degenerate-input error (a singular matrix,
+a degenerate form, a tuple of infinite colength); each rejection logs one
+line with that error's message, and a draw gives up after _MAX_REJECTIONS.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 
+from .errors import SingularMatrixError
 from .linalg import MatrixQ
-from .milnor import PolyTuple, is_finite_colength, is_nondegenerate
+from .milnor import PolyTuple
 from .poly import Poly, Space, monomial_basis
 
 logger = logging.getLogger("assoform.sampling")
@@ -31,44 +33,39 @@ def random_form(rng, nvars, degree, space=Space.Z):
     )
 
 
-def draw(rng, make, ok, what):
-    """Call make(rng) until ok accepts; log each rejection, give up after the cap."""
+def draw(rng, make, evaluate, reject):
+    """Return (x, evaluate(x)) for the first x = make(rng) that is not rejected.
+
+    A draw is rejected when make or evaluate raises `reject`; each rejection
+    logs one line with the error's message, and the draw gives up with
+    RuntimeError after the cap. Any other exception propagates.
+    """
     for _ in range(_MAX_REJECTIONS):
-        x = make(rng)
-        if ok(x):
-            return x
-        logger.info("rejected draw, wanted %s", what)
-    raise RuntimeError(f"rejection sampling failed to find {what}")
-
-
-def random_nondegenerate_form(rng, nvars, degree):
-    return draw(
-        rng,
-        lambda r: random_form(r, nvars, degree),
-        is_nondegenerate,
-        "a nondegenerate form",
+        try:
+            x = make(rng)
+            return x, evaluate(x)
+        except reject as exc:
+            logger.info("rejected draw: %s", exc)
+    raise RuntimeError(
+        f"rejection sampling gave up after {_MAX_REJECTIONS} draws ({reject.__name__})"
     )
 
 
-def random_finite_colength_tuple(rng, nvars, degree):
-    """Tuple of nvars random forms of the given degree with finite colength."""
-    return draw(
-        rng,
-        lambda r: PolyTuple([random_form(r, nvars, degree) for _ in range(nvars)]),
-        is_finite_colength,
-        "a finite-colength tuple",
-    )
+def random_tuple(rng, nvars, degree):
+    """Tuple of nvars random forms of the given degree, with no check."""
+    return PolyTuple([random_form(rng, nvars, degree) for _ in range(nvars)])
 
 
 def random_invertible_matrix(rng, n, bound=3):
-    return draw(
+    m, _ = draw(
         rng,
         lambda r: MatrixQ(
             [[Fraction(r.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
         ),
-        lambda m: m.det() != 0,
-        "an invertible matrix",
+        MatrixQ.inverse,
+        SingularMatrixError,
     )
+    return m
 
 
 def random_unimodular_matrix(rng, n, shears=4, bound=3):
@@ -93,13 +90,5 @@ def random_unimodular_matrix(rng, n, shears=4, bound=3):
 
 def random_linear_frame(rng, bound=3):
     """Pair of binary linear forms with a nonzero coefficient determinant."""
-    a, b, c, d = draw(
-        rng,
-        lambda r: [Fraction(r.randint(-bound, bound)) for _ in range(4)],
-        lambda e: e[0] * e[3] - e[1] * e[2] != 0,
-        "an invertible linear frame",
-    )
-    return (
-        Poly(2, Space.Z, {(1, 0): a, (0, 1): b}),
-        Poly(2, Space.Z, {(1, 0): c, (0, 1): d}),
-    )
+    m = random_invertible_matrix(rng, 2, bound)
+    return tuple(Poly(2, Space.Z, {(1, 0): m[i, 0], (0, 1): m[i, 1]}) for i in range(2))

@@ -2,7 +2,9 @@
 
 Each suite generator draws one case from a seeded PRNG and evaluates it
 before the next one is drawn; evaluation never touches the PRNG, so a
-given seed always produces a byte-identical report.
+given seed always produces a byte-identical report. A draw is rejected,
+and redrawn, when the case's own computation raises the degenerate-input
+error named at its `draw` call; any other error propagates.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from .duality import (
     orbit_duality_check,
     proportional,
 )
-from .errors import ExcludedParameterError, InputError
+from .errors import (
+    DegenerateFamilyError,
+    DegenerateQuinticError,
+    ExcludedParameterError,
+    FiniteColengthError,
+    InputError,
+    NondegeneracyError,
+)
 from .invariants import (
     SylvesterQuintic,
     TernaryCubicFamily,
-    delta_cubic_family,
-    quintic_covariants,
     verify_cubic_identity,
     verify_quartic_identity,
     verify_quintic_identity,
@@ -43,10 +50,10 @@ from .poly import ActionKind, Poly, Space, act, render_poly
 from .sampling import (
     COEFF_POOL,
     draw,
-    random_finite_colength_tuple,
+    random_form,
     random_invertible_matrix,
     random_linear_frame,
-    random_nondegenerate_form,
+    random_tuple,
     random_unimodular_matrix,
 )
 
@@ -73,8 +80,10 @@ def _render_tuple(ft):
 
 def _gen_quartic(rng, count):
     for _ in range(count):
-        f = random_nondegenerate_form(rng, 2, 4)
-        yield render_poly(f), verify_quartic_identity(f)
+        f, passed = draw(
+            rng, lambda r: random_form(r, 2, 4), verify_quartic_identity, NondegeneracyError
+        )
+        yield render_poly(f), passed
 
 
 def _coefficients(rng, k):
@@ -83,13 +92,13 @@ def _coefficients(rng, k):
 
 def _gen_cubic(rng, count):
     for _ in range(count):
-        p = draw(
+        p, passed = draw(
             rng,
             lambda r: TernaryCubicFamily(*_coefficients(r, 4)),
-            lambda p: delta_cubic_family(p) != 0,
-            "a cubic with nonzero discriminant",
+            verify_cubic_identity,
+            DegenerateFamilyError,
         )
-        yield render_poly(p.to_poly()), verify_cubic_identity(p)
+        yield render_poly(p.to_poly()), passed
 
 
 def _sylvester_quintic(rng):
@@ -99,14 +108,15 @@ def _sylvester_quintic(rng):
 
 def _gen_quintic(rng, count):
     for _ in range(count):
-        s = draw(
+        # the identity comes first: it is the check that rejects a degenerate draw
+        s, passed = draw(
             rng,
             _sylvester_quintic,
-            lambda s: quintic_covariants(s).delta != 0,
-            "a quintic with nonzero discriminant",
+            lambda s: verify_quintic_identity(s) and verify_quintic_relation(s),
+            DegenerateQuinticError,
         )
         desc = f"a={s.a} b={s.b} c={s.c} X={render_poly(s.X)} Y={render_poly(s.Y)}"
-        yield desc, verify_quintic_relation(s) and verify_quintic_identity(s)
+        yield desc, passed
 
 
 def _involution_case(point):
@@ -118,23 +128,16 @@ def _involution_case(point):
     return status is InvolutionStatus.FIXED and j_transform_check(point)
 
 
-def _family_point(family, t):
-    try:
-        return FamilyPoint(family, t)
-    except InputError:
-        return None
-
-
 def _gen_involution(rng, count):
     for k in range(count):
         family = Family.BINARY_QUARTIC if k % 2 == 0 else Family.TERNARY_CUBIC
-        point = draw(
+        point, passed = draw(
             rng,
-            lambda r: _family_point(family, Fraction(r.randint(-9, 9), r.randint(1, 3))),
-            lambda p: p is not None,
-            f"an admissible {family.value} parameter",
+            lambda r: FamilyPoint(family, Fraction(r.randint(-9, 9), r.randint(1, 3))),
+            _involution_case,
+            ExcludedParameterError,
         )
-        yield f"{family.value} t={point.t}", _involution_case(point)
+        yield f"{family.value} t={point.t}", passed
         # every few parameters, also check the orbit form of the duality
         if k % 5 == 0 and point.t != 0 and point.t not in (6, -6):
             n = 2 if family is Family.BINARY_QUARTIC else 3
@@ -145,13 +148,13 @@ def _gen_involution(rng, count):
             )
 
 
-def _phi_equivariant(f, C):
+def _phi_equivariant(f, af, C):
     lhs = associated_form(act(C, f, ActionKind.ON_FORMS)).form
-    rhs = C.det() ** 2 * act(C, associated_form(f).form, ActionKind.ON_DUAL_FORMS)
+    rhs = C.det() ** 2 * act(C, af.form, ActionKind.ON_DUAL_FORMS)
     return lhs == rhs
 
 
-def _psi_equivariant(ft, C1, C2):
+def _psi_equivariant(ft, af, C1, C2):
     n = ft.nvars
     moved = [act(C1, f, ActionKind.ON_FORMS) for f in ft.forms]
     c2inv = C2.inverse()
@@ -162,11 +165,7 @@ def _psi_equivariant(ft, C1, C2):
         ]
     )
     lhs = associated_form_tuple(mixed).form
-    rhs = (
-        C1.det()
-        * C2.det()
-        * act(C1, associated_form_tuple(ft).form, ActionKind.ON_DUAL_FORMS)
-    )
+    rhs = C1.det() * C2.det() * act(C1, af.form, ActionKind.ON_DUAL_FORMS)
     return lhs == rhs
 
 
@@ -174,25 +173,26 @@ def _gen_equivariance(rng, count):
     shapes = ((2, 4), (2, 5), (3, 3), (3, 4))
     for _ in range(count):
         n, d = rng.choice(shapes)
-        f = random_nondegenerate_form(rng, n, d)
+        f, af = draw(rng, lambda r: random_form(r, n, d), associated_form, NondegeneracyError)
         C = random_invertible_matrix(rng, n)
         desc = f"n={n} d={d} f={render_poly(f)} C={_render_matrix(C)}"
-        yield desc, _phi_equivariant(f, C)
+        yield desc, _phi_equivariant(f, af, C)
     for _ in range(count // 2):
         n = rng.choice((2, 3))
         dd = rng.choice((2, 3))
-        ft = random_finite_colength_tuple(rng, n, dd)
+        ft, af = draw(
+            rng, lambda r: random_tuple(r, n, dd), associated_form_tuple, FiniteColengthError
+        )
         C1 = random_invertible_matrix(rng, n)
         C2 = random_invertible_matrix(rng, n)
         desc = (
             f"tuple n={n} deg={dd} f=({_render_tuple(ft)}) "
             f"C1={_render_matrix(C1)} C2={_render_matrix(C2)}"
         )
-        yield desc, _psi_equivariant(ft, C1, C2)
+        yield desc, _psi_equivariant(ft, af, C1, C2)
 
 
-def _apolarity_case(ft, d):
-    af = associated_form_tuple(ft)
+def _apolarity_case(ft, af, d):
     if not inverse_system_check(ft, af.form):
         return False
     recovered = apolar_tuple(af.form, d)
@@ -209,8 +209,12 @@ def _gen_apolarity(rng, count):
     for _ in range(count):
         n = rng.choice((2, 3))
         d = rng.choice((3, 4)) if n == 2 else 3
-        ft = random_finite_colength_tuple(rng, n, d - 1)
-        yield f"n={n} d={d} f=({_render_tuple(ft)})", _apolarity_case(ft, d)
+        # only the draw's own associated form may reject it; a FiniteColengthError
+        # from the recovered tuple inside the case is a failure and propagates
+        ft, af = draw(
+            rng, lambda r: random_tuple(r, n, d - 1), associated_form_tuple, FiniteColengthError
+        )
+        yield f"n={n} d={d} f=({_render_tuple(ft)})", _apolarity_case(ft, af, d)
 
 
 def _expected_hilbert(n, dd):
@@ -230,11 +234,10 @@ def _gen_hilbert(rng, count):
     shapes = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))
     for _ in range(count):
         n, dd = rng.choice(shapes)
-        ft = random_finite_colength_tuple(rng, n, dd)
-        yield (
-            f"n={n} deg={dd} f=({_render_tuple(ft)})",
-            hilbert_function(ft) == _expected_hilbert(n, dd),
+        ft, h = draw(
+            rng, lambda r: random_tuple(r, n, dd), hilbert_function, FiniteColengthError
         )
+        yield f"n={n} deg={dd} f=({_render_tuple(ft)})", h == _expected_hilbert(n, dd)
 
 
 _GENERATORS = {

@@ -17,6 +17,7 @@ from assoform.duality import (
     involution_check,
     mobius,
 )
+from assoform.errors import NondegeneracyError
 from assoform.invariants import (
     SylvesterQuintic,
     TernaryCubicFamily,
@@ -34,12 +35,7 @@ from assoform.invariants import (
 )
 from assoform.milnor import associated_form
 from assoform.poly import Poly, Space
-from assoform.sampling import (
-    COEFF_POOL,
-    random_form,
-    random_linear_frame,
-    random_nondegenerate_form,
-)
+from assoform.sampling import COEFF_POOL, draw, random_form, random_linear_frame
 from assoform.suites import run_suite
 
 
@@ -155,7 +151,10 @@ def test_05_contravariant_identities():
     rng = random.Random(505)
     ok = True
     for _ in range(50):
-        ok = ok and verify_quartic_identity(random_nondegenerate_form(rng, 2, 4))
+        _, passed = draw(
+            rng, lambda r: random_form(r, 2, 4), verify_quartic_identity, NondegeneracyError
+        )
+        ok = ok and passed
     done = 0
     while done < 50:
         p = TernaryCubicFamily(

@@ -1,39 +1,43 @@
 import pytest
 
-from assoform import sampling, suites
-from assoform.errors import InputError
+from assoform import milnor, sampling, suites
+from assoform.errors import (
+    DegenerateFamilyError,
+    DegenerateQuinticError,
+    ExcludedParameterError,
+    FiniteColengthError,
+    NondegeneracyError,
+)
 
 
 class _Never:
-    """Acceptance stub that rejects every draw and counts its calls."""
+    """Evaluation stub that rejects every draw and counts its calls."""
 
-    def __init__(self, result):
-        self.result = result
+    def __init__(self, error):
+        self.error = error
         self.calls = 0
 
     def __call__(self, *args):
         self.calls += 1
         assert self.calls <= 3, "rejection loop ran past its cap"
-        if isinstance(self.result, Exception):
-            raise self.result
-        return self.result
-
-
-class _ZeroDelta:
-    delta = 0
+        raise self.error
 
 
 @pytest.mark.parametrize(
-    "suite, name, result",
+    "suite, name, error",
     [
-        ("cubic", "delta_cubic_family", 0),
-        ("quintic", "quintic_covariants", _ZeroDelta()),
-        ("involution", "FamilyPoint", InputError("excluded")),
+        ("cubic", "verify_cubic_identity", DegenerateFamilyError("zero discriminant")),
+        ("quintic", "verify_quintic_identity", DegenerateQuinticError("zero discriminant")),
+        ("involution", "FamilyPoint", ExcludedParameterError("excluded")),
+        ("quartic", "verify_quartic_identity", NondegeneracyError("singular")),
+        ("equivariance", "associated_form", NondegeneracyError("singular")),
+        ("apolarity", "associated_form_tuple", FiniteColengthError("infinite")),
+        ("hilbert", "hilbert_function", FiniteColengthError("infinite")),
     ],
 )
-def test_every_suite_rejection_loop_is_capped(monkeypatch, caplog, suite, name, result):
+def test_every_suite_rejection_loop_is_capped(monkeypatch, caplog, suite, name, error):
     monkeypatch.setattr(sampling, "_MAX_REJECTIONS", 3)
-    stub = _Never(result)
+    stub = _Never(error)
     monkeypatch.setattr(suites, name, stub)
     with caplog.at_level("INFO", logger="assoform.sampling"):
         with pytest.raises(RuntimeError):
@@ -43,3 +47,33 @@ def test_every_suite_rejection_loop_is_capped(monkeypatch, caplog, suite, name, 
     # a quintic draw may also reject linear frames on its way
     assert len(rejections) >= 3
     assert all(m.startswith("rejected") for m in rejections)
+    assert sum(str(error) in m for m in rejections) == 3
+
+
+def test_only_the_named_error_rejects(monkeypatch):
+    stub = _Never(NondegeneracyError("not the cubic's degenerate-input error"))
+    monkeypatch.setattr(suites, "verify_cubic_identity", stub)
+    with pytest.raises(NondegeneracyError):
+        suites.run_suite("cubic", 0, 1)
+    assert stub.calls == 1
+
+
+# hilbert at seed 22 rejects one draw, so the rejected draws are counted too
+@pytest.mark.parametrize(
+    "suite, seed, count", [("quartic", 0, 12), ("hilbert", 0, 6), ("hilbert", 22, 6)]
+)
+def test_each_draw_eliminates_its_fullness_matrix_once(monkeypatch, caplog, suite, seed, count):
+    original = milnor.ideal_graded_dim
+    fullness = []
+
+    def counting(ft, k):
+        if k == ft.top_degree + 1:
+            fullness.append(k)
+        return original(ft, k)
+
+    monkeypatch.setattr(milnor, "ideal_graded_dim", counting)
+    with caplog.at_level("INFO", logger="assoform.sampling"):
+        result = suites.run_suite(suite, seed, count)
+    rejections = [r for r in caplog.records if r.getMessage().startswith("rejected")]
+    assert len(result["cases"]) == count
+    assert len(fullness) == count + len(rejections)
