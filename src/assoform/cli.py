@@ -4,7 +4,8 @@ stdout carries a single JSON document with sorted keys and all rationals
 rendered as num/den strings, so a fixed seed produces byte-identical
 output; timing and progress go to stderr. Exit codes: 0 success, 1
 verification failure, 2 invalid or degenerate input (usage errors
-included), 3 parse error.
+included), 3 parse error, 4 internal error. Every error prints the error
+document, never a traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .duality import (
     mobius,
 )
 from .errors import (
+    AssoformError,
     ExcludedParameterError,
     InputError,
     NondegeneracyError,
@@ -367,6 +369,8 @@ def main(argv=None):
         return _emit_error(command, exc, 3)
     except InputError as exc:
         return _emit_error(command, exc, 2)
+    except AssoformError as exc:
+        return _emit_error(command, exc, 4)
     report.timing_ms = int((time.monotonic() - start) * 1000)
     print(report.to_json())
     print(f"completed in {report.timing_ms} ms", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Every failure the CLI maps to an exit code derives from AssoformError:
 InputError covers invalid or degenerate mathematical input (exit code 2),
-PolyParseError covers malformed polynomial text (exit code 3).
+PolyParseError covers malformed polynomial text (exit code 3), and every
+other AssoformError is an internal error (exit code 4): a failure of the
+library itself, not of its input.
 """
 
 
@@ -40,6 +42,10 @@ class DegenerateSocleError(AssoformError):
     Cannot happen for a finite-colength tuple; raised so a broken caller
     fails loudly rather than returning a meaningless covector.
     """
+
+
+class RejectionSamplingError(AssoformError, RuntimeError):
+    """Rejection sampling used up its cap without an accepted draw."""
 
 
 class NondegeneracyError(InputError):

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Graded-piece computations reduce to rank and right-nullspace of matrices
-with a few hundred rows; both are done fraction-free (Bareiss) over the
-integers after clearing denominators row by row. Pivoting is deterministic
-(leftmost column, first nonzero row), so repeated runs reproduce the same
-echelon form bit for bit.
+with a few hundred rows; both are done over the integers after clearing
+denominators row by row. A rank is first computed modulo one fixed prime:
+that rank never exceeds the rank over Q, so a full rank modulo the prime is
+exact and is returned as is. Any other rank, and every nullspace, comes from
+fraction-free (Bareiss) elimination. Pivoting is deterministic (leftmost
+column, first nonzero row), so repeated runs reproduce the same echelon form
+bit for bit.
 
 MatrixQ is the small dense matrix used for group elements acting on forms.
 """
@@ -70,11 +73,57 @@ def row_echelon_int(m):
     return m, pivots
 
 
+# The largest prime below 2^30: residues fit in one CPython digit, and
+# their products in two.
+_PRIME = 1073741789
+
+
+def _full_rank_mod_p(m):
+    """Whether the integer matrix m has rank min(nrows, ncols) modulo _PRIME.
+
+    A pivot row updates only the rows with a nonzero entry in its column,
+    and only at its own nonzero entries, which keeps sparse Macaulay
+    matrices cheap. The pass stops as soon as a full rank is reached or has
+    become impossible. m is left unchanged.
+    """
+    p = _PRIME
+    ncols = len(m[0])
+    target = min(len(m), ncols)
+    active = [[v % p for v in row] for row in m]
+    rank = 0
+    for c in range(ncols):
+        i = next((i for i, row in enumerate(active) if row[c]), None)
+        if i is None:
+            if c + 1 - rank > ncols - target:
+                return False
+            continue
+        pivot = active.pop(i)
+        rank += 1
+        if rank == target:
+            return True
+        inv = pow(pivot[c], -1, p)
+        tail = [(j, v * inv % p) for j, v in enumerate(pivot[c + 1 :], c + 1) if v]
+        for row in active:
+            f = row[c]
+            if f:
+                for j, b in tail:
+                    row[j] = (row[j] - f * b) % p
+    return rank == target
+
+
 def rank_rows(rows):
-    """Rank of the matrix whose rows are the given rational vectors."""
+    """Rank of the matrix whose rows are the given rational vectors.
+
+    A full rank modulo a prime is exact, because reduction modulo a prime
+    can only lower the rank; any other matrix is recomputed by Bareiss
+    elimination over the integers.
+    """
     if not rows:
         return 0
-    _, pivots = row_echelon_int(_int_rows(rows))
+    m = _int_rows(rows)
+    if _full_rank_mod_p(m):
+        return min(len(m), len(m[0]))
+    _, pivots = row_echelon_int(m)
     return len(pivots)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 
-from .errors import SingularMatrixError
+from .errors import RejectionSamplingError, SingularMatrixError
 from .linalg import MatrixQ
 from .milnor import PolyTuple
 from .poly import Poly, Space, monomial_basis
@@ -38,7 +38,7 @@ def draw(rng, make, evaluate, reject):
 
     A draw is rejected when make or evaluate raises `reject`; each rejection
     logs one line with the error's message, and the draw gives up with
-    RuntimeError after the cap. Any other exception propagates.
+    RejectionSamplingError after the cap. Any other exception propagates.
     """
     for _ in range(_MAX_REJECTIONS):
         try:
@@ -46,7 +46,7 @@ def draw(rng, make, evaluate, reject):
             return x, evaluate(x)
         except reject as exc:
             logger.info("rejected draw: %s", exc)
-    raise RuntimeError(
+    raise RejectionSamplingError(
         f"rejection sampling gave up after {_MAX_REJECTIONS} draws ({reject.__name__})"
     )
 

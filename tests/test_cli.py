@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from assoform import apolarity
+from assoform import apolarity, duality, milnor, sampling, suites
 from assoform.cli import main
+from assoform.errors import DegenerateFamilyError
 from assoform.invariants import TernaryCubicFamily, a6_family
 
 
@@ -211,6 +212,51 @@ def test_usage_error_prints_error_document(capsys, argv):
     assert doc["results"]["error"]["message"]
 
 
+def _raise(error):
+    def stub(*args, **kwargs):
+        raise error
+
+    return stub
+
+
+# each stub forces one failure of the library itself, not of its input
+@pytest.mark.parametrize(
+    "target, name, stub, argv, message",
+    [
+        (
+            milnor,
+            "nullspace_rows",
+            lambda rows, ncols=None: [],
+            ("assoc", "z1^4+z2^4", "--n", "2", "--d", "4"),
+            "socle has dimension 0",
+        ),
+        (
+            duality,
+            "proportional",
+            lambda *args: False,
+            ("duality-scan", "quartic", "--t", "1"),
+            "left the line of the input",
+        ),
+        (
+            suites,
+            "verify_cubic_identity",
+            _raise(DegenerateFamilyError("zero discriminant")),
+            ("verify", "cubic", "--seed", "0", "--count", "1"),
+            "gave up after 3 draws",
+        ),
+    ],
+    ids=["degenerate socle", "involution", "rejection sampling"],
+)
+def test_internal_error_exits_4(capsys, monkeypatch, target, name, stub, argv, message):
+    monkeypatch.setattr(target, name, stub)
+    monkeypatch.setattr(sampling, "_MAX_REJECTIONS", 3)
+    rc, doc, _ = run(capsys, *argv)
+    assert rc == 4
+    assert doc["status"] == "error"
+    assert doc["command"] == argv[0]
+    assert message in doc["results"]["error"]["message"]
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -244,6 +290,28 @@ PINNED_STDOUT = {
         "03b7a372084f1b3cf1b131e61137ddb2fd3bbf74c2f9e099f19c0052f1fade2d",
     ("duality-scan", "cubic", "--t=0,1,6,-6,3/2"):
         "eee4cdfadf5f23b30d2008668a84440e7bdfb2e39f52a77e3344dfcb2230c3cd",
+    (
+        "assoc",
+        "4*z1^4 + z1^3*z2 + 5*z1^3*z3 - 5*z1^2*z2^2 - 2*z1^2*z2*z3 - 5*z1^2*z3^2"
+        " + 2*z1*z2^3 + z1*z2^2*z3 - 4*z1*z2*z3^2 + 2*z1*z3^3 - z2^4 + z2^3*z3"
+        " - 4*z2^2*z3^2 + 5*z2*z3^3 + 4*z3^4",
+        "--n", "3", "--d", "4",
+    ):
+        "bd03f0b57c51c7f85ef5a96bec1204ca62064a6c152eee4ab8c4346632c3edb2",
+    ("assoc", "z1^3+2*z2^3-3*z3^3+1/2*z4^3", "--n", "4", "--d", "3"):
+        "4a162244980b601f0ad81b01f304f2fbbb7e8f3dbcf7ca5ada2295f3de9cbe27",
+    ("assoc", "z1^3+z2^3+z3^3+z4^3+z5^3-z1*z2*z3+2*z3*z4*z5", "--n", "5", "--d", "3"):
+        "d946cbcbb4e0b32bc076448d0775f61547c9928a49a798e1535749eff34d91b5",
+    ("hilbert", "z1^3+z2^3", "z1*z2^2", "z3^3"):
+        "e313e27b1abafeb96837fe65fc8d9507c08223866c3275ec459cd8027db1d9ca",
+    ("hilbert", "z1^2+z2^2", "z2^2+z3^2", "z3^2+z4^2", "z4^2-z1^2+z1*z2"):
+        "cc4b764743c2414e28b7e60a0c72c7168efb4bc9662a7006d16680d27de37eac",
+    ("inverse-system", "e1^2*e2^2*e3^2", "--n", "3", "--d", "4"):
+        "1db2fbc62fb33c8e63a22dcd95267ac6c867eaece6d474ae8a2aac7ab1a3bd37",
+    ("inverse-system", "e1^10+3*e1^4*e2^6-e2^10", "--n", "2", "--d", "7"):
+        "3c19f31b963da19c10a1b4e60254c93973286267a607e78e70926f43f3e70888",
+    ("inverse-system", "e1^3+e2^3+e3^3", "--n", "3", "--d", "3"):
+        "a5d6bf8b60cf9c8580945cb9ee0979826a05b8e70caa6ac33ae37b8d66aef6dc",
 }
 
 

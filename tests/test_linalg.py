@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from assoform import linalg
 from assoform.errors import SingularMatrixError
-from assoform.linalg import MatrixQ, nullspace_rows, rank_rows, row_echelon_int
+from assoform.linalg import MatrixQ, _int_rows, nullspace_rows, rank_rows, row_echelon_int
 
 
 def test_rank_simple():
@@ -21,6 +22,62 @@ def test_rank_rational_entries():
         [0, 0, Fraction(7, 5)],
     ]
     assert rank_rows(rows) == 2
+
+
+def _bareiss_rank(rows):
+    return len(row_echelon_int(_int_rows(rows))[1]) if rows else 0
+
+
+def _random_matrix(rng, nrows, ncols, rank, rational):
+    # product of random nrows x rank and rank x ncols factors, redrawn until
+    # Bareiss finds the rank min(rank, nrows, ncols)
+    den = (lambda: rng.randint(1, 6)) if rational else (lambda: 1)
+    while True:
+        left = [[Fraction(rng.randint(-3, 3), den()) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * r[j] for a, r in zip(row, right)) for j in range(ncols)] for row in left]
+        if _bareiss_rank(rows) == min(rank, nrows, ncols):
+            return rows
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, rank",
+    [(7, 7, 7), (7, 7, 4), (9, 4, 4), (9, 4, 2), (3, 9, 4), (3, 9, 1), (5, 5, 0)],
+    ids=["full", "deficient", "tall", "tall deficient", "wide", "wide deficient", "zero"],
+)
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_rank_matches_bareiss(nrows, ncols, rank, rational):
+    rng = random.Random(100 * nrows + 10 * ncols + rank)
+    for _ in range(25):
+        rows = _random_matrix(rng, nrows, ncols, rank, rational)
+        if rng.random() < 0.5:
+            rows.insert(rng.randrange(nrows + 1), [0] * ncols)
+        assert rank_rows(rows) == _bareiss_rank(rows)
+
+
+def test_rank_deficient_mod_prime_takes_the_exact_path(monkeypatch):
+    calls = []
+    real = linalg.row_echelon_int
+    monkeypatch.setattr(linalg, "row_echelon_int", lambda m: calls.append(m) or real(m))
+    p = linalg._PRIME
+    # determinant p: full rank over Q, rank 1 modulo p (rows stay primitive,
+    # so clearing denominators does not divide p out)
+    assert rank_rows([[p, 1], [0, 1]]) == 2
+    assert rank_rows([[Fraction(p, 3), Fraction(1, 3)], [0, 2]]) == 2
+    assert len(calls) == 2
+
+
+def test_full_rank_skips_bareiss(monkeypatch):
+    def refuse(m):
+        raise AssertionError("Bareiss ran on a matrix of full rank")
+
+    monkeypatch.setattr(linalg, "row_echelon_int", refuse)
+    rng = random.Random(5)
+    for nrows, ncols in [(6, 6), (9, 4), (3, 9)]:
+        rank = min(nrows, ncols)
+        assert rank_rows(_random_matrix(rng, nrows, ncols, rank, True)) == rank
+    # every column the full rank can spare has no pivot
+    assert rank_rows([[0, 0, 1, 0], [0, 0, 0, 2]]) == 2
 
 
 def test_echelon_pivots():
