@@ -71,6 +71,8 @@ def apolar_tuple(F, d):
     determine d, so the caller states it). Returns NotApplicable with the
     found dimension when the slice is not exactly n-dimensional.
     """
+    if not F:
+        raise InputError("the zero form has no apolar tuple: it is annihilated by everything")
     n = F.nvars
     expected = n * (d - 2)
     if F.homogeneous_degree() != expected:

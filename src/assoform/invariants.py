@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import (
@@ -332,6 +333,11 @@ class SylvesterQuintic:
     def to_poly(self):
         return self.a * self.X**5 + self.b * self.Y**5 + self.c * self.Z**5
 
+    @cached_property
+    def _covariants(self):
+        """quintic_covariants(self), evaluated once per quintic."""
+        return quintic_covariants(self)
+
 
 @dataclass(frozen=True)
 class QuinticCovariants:
@@ -373,7 +379,7 @@ def verify_quintic_relation(s):
 
     C40*C26 - C15*C51 + 9 C33^2 - C22^3 + 2 C22*C44 must vanish.
     """
-    cov = quintic_covariants(s)
+    cov = s._covariants
     combo = (
         cov.C40 * cov.C26
         - cov.C15 * cov.C51
@@ -393,7 +399,7 @@ def verify_quintic_identity(s):
     (both sides are frame-covariant but of different weights), so the check
     carries that factor and reduces to the plain identity when det = +-1.
     """
-    cov = quintic_covariants(s)
+    cov = s._covariants
     if cov.delta == 0:
         raise DegenerateQuinticError("quintic has vanishing discriminant")
     form = associated_form(cov.C15).form

@@ -15,7 +15,7 @@ elimination over the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -31,9 +31,15 @@ from .poly import Poly, Space, factorial_product, jacobian, monomial_basis
 
 @dataclass(frozen=True)
 class PolyTuple:
-    """n forms of one common degree in n variables, all in the z-space."""
+    """n forms of one common degree in n variables, all in the z-space.
+
+    `_dims` caches the ideal's graded dimensions by degree, so a tuple
+    ranks each graded piece once however many computations ask for it;
+    the cache takes no part in equality or hashing.
+    """
 
     forms: tuple
+    _dims: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, forms):
         forms = tuple(forms)
@@ -54,6 +60,7 @@ class PolyTuple:
         if degs.pop() < 1:
             raise InputError("constant forms span no ideal of interest")
         object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "_dims", {})
 
     @property
     def nvars(self):
@@ -138,8 +145,10 @@ def ideal_graded_dim(ft, k):
     """Dimension of the degree-k piece of the ideal spanned by the tuple."""
     if k < ft.degree:
         return 0
-    basis = monomial_basis(ft.nvars, k)
-    return rank_rows(_generator_rows(ft, k, basis))
+    if k not in ft._dims:
+        basis = monomial_basis(ft.nvars, k)
+        ft._dims[k] = rank_rows(_generator_rows(ft, k, basis))
+    return ft._dims[k]
 
 
 def finiteness_degree(ft):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, lcm, perm, prod
 
 from .errors import DegreeMismatchError, InputError, PolyParseError, SingularMatrixError
 from .linalg import MatrixQ
@@ -438,24 +438,44 @@ def diamond(g, F):
     return Poly(F.nvars, Space.E, terms)
 
 
-def _substitute(f, replacements):
-    """Substitute replacements[i] for variable i; algebra homomorphism."""
-    result = {}
-    cache = {}
+# Integer expansion kernel behind act, jacobian and hessian. A polynomial is
+# a dict from packed monomial to int: exponent i is digit nvars-1-i of the
+# key in base `base`, so adding two keys multiplies their monomials as long
+# as no exponent reaches the base. Callers clear denominators once on the
+# way in and divide once per term on the way out.
 
-    def power(i, e):
-        if (i, e) not in cache:
-            cache[(i, e)] = replacements[i] ** e
-        return cache[(i, e)]
 
-    out = Poly.zero(replacements[0].nvars, replacements[0].space)
-    for mono, coeff in f._terms.items():
-        prod = Poly.constant(out.nvars, out.space, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                prod = prod * power(i, e)
-        out = out + prod
+def _to_int(p, base, den):
+    """den * p as a packed integer polynomial; den must clear p's denominators."""
+    out = {}
+    for mono, c in p._terms.items():
+        key = 0
+        for e in mono:
+            key = key * base + e
+        out[key] = c.numerator * (den // c.denominator)
     return out
+
+
+def _from_int(terms, nvars, space, base, den):
+    """The Poly terms / den."""
+    out = {}
+    for key, c in terms.items():
+        mono = [0] * nvars
+        for i in range(nvars - 1, -1, -1):
+            key, mono[i] = divmod(key, base)
+        out[tuple(mono)] = Fraction(c, den)
+    return Poly(nvars, space, out)
+
+
+def _addmul(acc, a, b, w=1):
+    """Add w * a * b into acc and return acc."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= w
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
 def act(C, f, kind):
@@ -463,7 +483,9 @@ def act(C, f, kind):
 
     ON_FORMS sends f(z) to f(z C^{-T}); ON_DUAL_FORMS sends F(e) to F(e C).
     Both are degree-preserving ring maps, so acting on products equals the
-    product of the acted factors.
+    product of the acted factors. The expansion runs over the integers: the
+    denominators of the substituted matrix and of f are cleared once, and
+    each term of the result is divided once at the end.
     """
     kind = kind if isinstance(kind, ActionKind) else ActionKind(kind)
     if C.nrows != C.ncols or C.nrows != f.nvars:
@@ -475,31 +497,65 @@ def act(C, f, kind):
         if C.det() == 0:
             raise SingularMatrixError("matrix is singular")
         rows = C.transpose().entries  # e_i -> sum_j C_{ji} e_j realizes e -> e C
-    replacements = [
-        Poly(f.nvars, f.space, {tuple(int(k == j) for k in range(f.nvars)): rows[i][j] for j in range(f.nvars) if rows[i][j]})
-        for i in range(f.nvars)
+    top = f.degree()
+    if not top:
+        return f  # the zero polynomial and the constants are fixed
+    n = f.nvars
+    base = top + 1
+    # z_i -> L_i / D with integer linear forms L_i; a term of degree k is
+    # scaled by D^(top - k) so that every term shares the denominator D^top
+    D = lcm(*(x.denominator for row in rows for x in row))
+    linear = [
+        {base ** (n - 1 - j): x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
+        for row in rows
     ]
-    return _substitute(f, replacements)
+    powers = [[{0: 1}, L] for L in linear]
+    fden = lcm(*(c.denominator for c in f._terms.values()))
+    acc = {}
+    for mono, c in f._terms.items():
+        term = {0: c.numerator * (fden // c.denominator) * D ** (top - sum(mono))}
+        for i, e in enumerate(mono):
+            if e:
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(_addmul({}, pw[-1], pw[1]))
+                term = _addmul({}, term, pw[e])
+        for k, v in term.items():
+            acc[k] = acc.get(k, 0) + v
+    return _from_int(acc, n, f.space, base, fden * D**top)
 
 
 def _poly_det(rows):
+    """Determinant of a square matrix of Polys by Laplace expansion.
+
+    Each row is scaled to integers once, and the minors are memoized by
+    their column set, so each of the 2^n column sets is expanded once.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    first = rows[0]
-    total = None
-    for j in range(n):
-        if not first[j]:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        piece = first[j] * _poly_det(minor)
-        if j % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    if total is None:
-        zero = rows[0][0]
-        return Poly.zero(zero.nvars, zero.space)
-    return total
+    nvars, space = rows[0][0].nvars, rows[0][0].space
+    # no exponent of the determinant exceeds the sum of the rows' degrees
+    base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
+    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
+    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
+    memo = {}
+
+    def minor(cols):
+        # determinant of the last len(cols) rows restricted to cols
+        if cols not in memo:
+            r = n - len(cols)
+            if len(cols) == 1:
+                memo[cols] = irows[r][cols[0]]
+            else:
+                acc = {}
+                for pos, j in enumerate(cols):
+                    if irows[r][j]:
+                        sub = minor(cols[:pos] + cols[pos + 1 :])
+                        if sub:
+                            _addmul(acc, irows[r][j], sub, -1 if pos % 2 else 1)
+                memo[cols] = {k: v for k, v in acc.items() if v}
+        return memo[cols]
+
+    return _from_int(minor(tuple(range(n))), nvars, space, base, prod(dens))
 
 
 def hessian(f, nvars=None):
@@ -507,6 +563,8 @@ def hessian(f, nvars=None):
 
     For homogeneous f of degree d in n variables the result is homogeneous
     of degree n(d-2). Transforms with determinant weight -2 under ON_FORMS.
+    The determinant is expanded over the integers after the denominators of
+    each row are cleared once.
     """
     if nvars is not None and nvars != f.nvars:
         raise InputError(f"form has {f.nvars} variables, not {nvars}")
@@ -523,7 +581,8 @@ def jacobian(forms):
     """Determinant of (df_i/dz_j) for n forms in n variables.
 
     The Jacobian of a gradient tuple is exactly the Hessian of the source
-    form, with no sign or scale correction.
+    form, with no sign or scale correction. The determinant is expanded over
+    the integers after the denominators of each row are cleared once.
     """
     forms = list(getattr(forms, "forms", forms))
     n = forms[0].nvars

@@ -98,6 +98,11 @@ def test_apolar_tuple_degree_check():
         apolar_tuple(ep("e1^4"), 3)
 
 
+def test_apolar_tuple_rejects_the_zero_form():
+    with pytest.raises(InputError, match="zero form"):
+        apolar_tuple(Poly.zero(2, Space.E), 3)
+
+
 def test_in_U_associated_forms():
     for f in (quartic_family(0), quartic_family(3), zp("z1^4 + z1*z2^3")):
         assert in_U(associated_form(f).form, 4)

@@ -125,6 +125,14 @@ def test_inverse_system_builds_the_slice_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_inverse_system_of_zero_names_the_zero_form(capsys):
+    rc, doc, _ = run(capsys, "inverse-system", "0", "--n", "2", "--d", "3")
+    assert rc == 2
+    message = doc["results"]["error"]["message"]
+    assert "zero form" in message
+    assert "None" not in message
+
+
 def test_inverse_system_nonmember(capsys):
     rc, doc, _ = run(capsys, "inverse-system", "e1^4", "--n", "2", "--d", "4")
     assert rc == 0
@@ -286,6 +294,12 @@ PINNED_STDOUT = {
         "bcd996cba0943fe8405dc38c733557d3e488d1b4fcdf716f10ce07270c5b9892",
     ("verify", "hilbert", "--seed", "0", "--count", "4"):
         "e8c4a2717088e920a95d2132d46f13b6085dec6ead2348ed84766f6b0c535714",
+    ("verify", "equivariance", "--seed", "5", "--count", "6"):
+        "484d4c7bb4f58f22b1edb90de2179102b96bb5b0a80be0610a976c0e682e06a1",
+    ("verify", "quintic", "--seed", "3", "--count", "10"):
+        "6eff220caf9c3a961f839bd66dafebb887fb19cc120cade10e801d199b3158f5",
+    ("verify", "apolarity", "--seed", "2", "--count", "12"):
+        "3aa3291b0d45d72264c1f3d98fe6ada15e4b1327df03daa6e9b1f549dc9f971f",
     ("duality-scan", "quartic", "--t=0,1,3,6,-6,1/2"):
         "03b7a372084f1b3cf1b131e61137ddb2fd3bbf74c2f9e099f19c0052f1fade2d",
     ("duality-scan", "cubic", "--t=0,1,6,-6,3/2"):

@@ -9,6 +9,7 @@ from assoform.poly import (
     ActionKind,
     Poly,
     Space,
+    _poly_det,
     act,
     diamond,
     hessian,
@@ -209,6 +210,9 @@ def test_hessian_values():
     assert hessian(q1) == zp("24*z1^4 + 132*z1^2*z2^2 + 24*z2^4")
     f3 = parse_poly("z1*z2*z3", 3, Space.Z)
     assert hessian(f3) == parse_poly("2*z1*z2*z3", 3, Space.Z)
+    # z3 does not occur, so the third row and column of second partials vanish
+    assert hessian(parse_poly("z1^3 + 1/2*z1*z2^2", 3, Space.Z)) == Poly.zero(3, Space.Z)
+    assert hessian(parse_poly("3/2*z1^4", 1, Space.Z)) == parse_poly("18*z1^2", 1, Space.Z)
 
 
 def test_hessian_rejects_low_degree():
@@ -239,6 +243,7 @@ def test_jacobian_values():
     assert jacobian([zp("z1^3"), zp("z2^3")]) == zp("9*z1^2*z2^2")
     f = zp("z1^4 + z1^2*z2^2 + z2^4")
     assert jacobian([f.partial(0), f.partial(1)]) == hessian(f)
+    assert jacobian([parse_poly("3/2*z1^4", 1, Space.Z)]) == parse_poly("6*z1^3", 1, Space.Z)
 
 
 def test_jacobian_validation():
@@ -246,3 +251,104 @@ def test_jacobian_validation():
         jacobian([zp("z1^2")])
     with pytest.raises(InputError):
         jacobian([zp("z1^2"), zp("z2^3")])
+
+
+# Reference paths for the integer expansion behind act, jacobian and hessian:
+# plain Poly arithmetic over the rationals, with no denominator clearing.
+
+
+def reference_act(C, f, kind):
+    rows = C.inverse().entries if kind is ActionKind.ON_FORMS else C.transpose().entries
+    n = f.nvars
+    images = [
+        sum(
+            (Poly.variable(n, f.space, j + 1) * rows[i][j] for j in range(n)),
+            Poly.zero(n, f.space),
+        )
+        for i in range(n)
+    ]
+    out = Poly.zero(n, f.space)
+    for mono, coeff in f.items():
+        term = Poly.constant(n, f.space, coeff)
+        for image, e in zip(images, mono):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def reference_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    first = rows[0][0]
+    total = Poly.zero(first.nvars, first.space)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        piece = entry * reference_det(minor)
+        total = total - piece if j % 2 else total + piece
+    return total
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def _random_poly(rng, n, degrees, density=0.5, space=Space.Z):
+    terms = {}
+    for deg in degrees:
+        for m in monomial_basis(n, deg):
+            if rng.random() < density:
+                terms[m] = _rational(rng)
+    return Poly(n, space, terms)
+
+
+def _random_invertible(rng, n):
+    while True:
+        C = MatrixQ([[_rational(rng) for _ in range(n)] for _ in range(n)])
+        if C.det() != 0:
+            return C
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", list(ActionKind))
+def test_act_matches_reference_substitution(n, kind):
+    rng = random.Random(100 + n)
+    space = Space.Z if kind is ActionKind.ON_FORMS else Space.E
+    for trial in range(12):
+        C = _random_invertible(rng, n)
+        top = rng.randint(1, 4 if n < 4 else 3)
+        # homogeneous, non-homogeneous, zero and constant inputs
+        for degrees in ((top,), (0, 1, top), (top - 1, top)):
+            f = _random_poly(rng, n, degrees, space=space)
+            assert act(C, f, kind) == reference_act(C, f, kind)
+        for f in (Poly.zero(n, space), Poly.constant(n, space, _rational(rng))):
+            assert act(C, f, kind) == reference_act(C, f, kind) == f
+
+
+def test_jacobian_and_hessian_match_reference_laplace():
+    rng = random.Random(21)
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        d = rng.randint(2, 4 if n < 4 else 3)
+        # sparse draws leave zero partials, i.e. zero entries
+        forms = [_random_poly(rng, n, (d - 1,), density=0.4) for _ in range(n)]
+        if all(forms):
+            rows = [[f.partial(j) for j in range(n)] for f in forms]
+            assert jacobian(forms) == reference_det(rows)
+        f = _random_poly(rng, n, (d,), density=0.4)
+        if f:
+            grads = [f.partial(i) for i in range(n)]
+            rows = [[g.partial(j) for j in range(n)] for g in grads]
+            assert hessian(f) == reference_det(rows)
+
+
+def test_poly_det_matches_reference_laplace():
+    rng = random.Random(34)
+    for trial in range(40):
+        n = rng.randint(1, 4)
+        rows = [
+            [_random_poly(rng, 3, (rng.randint(0, 2),), density=0.3) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial % 4 == 0:
+            rows[rng.randrange(n)] = [Poly.zero(3, Space.Z)] * n
+        assert _poly_det(rows) == reference_det(rows)

@@ -1,6 +1,6 @@
 import pytest
 
-from assoform import milnor, sampling, suites
+from assoform import invariants, milnor, sampling, suites
 from assoform.errors import (
     DegenerateFamilyError,
     DegenerateQuinticError,
@@ -77,3 +77,34 @@ def test_each_draw_eliminates_its_fullness_matrix_once(monkeypatch, caplog, suit
     rejections = [r for r in caplog.records if r.getMessage().startswith("rejected")]
     assert len(result["cases"]) == count
     assert len(fullness) == count + len(rejections)
+
+
+def test_each_apolarity_tuple_ranks_its_fullness_matrix_once(monkeypatch):
+    # per case: the drawn tuple and the recovered one, each ranked once even
+    # though the drawn tuple's fullness is asked for by both the socle and
+    # the inverse-system check
+    original = milnor.rank_rows
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(milnor, "rank_rows", counting)
+    result = suites.run_suite("apolarity", 0, 12)
+    assert result["pass"]
+    assert len(calls) == 24
+
+
+def test_each_quintic_evaluates_its_covariants_once(monkeypatch):
+    original = invariants.quintic_covariants
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(invariants, "quintic_covariants", counting)
+    result = suites.run_suite("quintic", 0, 5)
+    assert result["pass"]
+    assert len(calls) == 5
