@@ -4,10 +4,17 @@ Graded-piece computations reduce to rank and right-nullspace of matrices
 with a few hundred rows; both are done over the integers after clearing
 denominators row by row. A rank is first computed modulo one fixed prime:
 that rank never exceeds the rank over Q, so a full rank modulo the prime is
-exact and is returned as is. Any other rank, and every nullspace, comes from
-fraction-free (Bareiss) elimination. Pivoting is deterministic (leftmost
-column, first nonzero row), so repeated runs reproduce the same echelon form
-bit for bit.
+exact and is returned as is. Any other rank, and every nullspace basis,
+comes from fraction-free (Bareiss) elimination. Pivoting is deterministic
+(leftmost column, first nonzero row), so repeated runs reproduce the same
+echelon form bit for bit.
+
+A kernel that must be one line, such as the socle of a Gorenstein
+algebra, is solved from sparse integer rows by p-adic lifting instead
+(`_kernel_line`), with no Fraction and no Bareiss elimination: one
+elimination modulo a prime, Dixon lifting of the square system that fixes
+the free coordinate, rational reconstruction, and an exact check of the
+result against every row over the integers.
 
 MatrixQ is the small dense matrix used for group elements acting on forms.
 """
@@ -15,9 +22,10 @@ MatrixQ is the small dense matrix used for group elements acting on forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .errors import SingularMatrixError
+from .errors import DegenerateSocleError, SingularMatrixError
 
 
 def _int_rows(rows):
@@ -155,6 +163,217 @@ def nullspace_rows(rows, ncols=None):
             x[pc] = -s / m[r][pc]
         basis.append(x)
     return basis
+
+
+def _prev_prime(p):
+    """The largest prime below p, by trial division."""
+    for q in range(p - 1, 1, -1):
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            return q
+    raise ValueError(f"no prime below {p}")
+
+
+def _norm_bits(row):
+    # an upper bound on log2 of the Euclidean norm of a sparse integer row
+    return (sum(a * a for a in row.values()).bit_length() + 1) // 2
+
+
+class _EchelonModP:
+    """Row echelon form modulo p of sparse integer rows, built row by row.
+
+    A row is reduced by the pivot rows in ascending order of their leading
+    columns, so each pivot row is zero before its leading column, and the
+    pivot rows restricted to the pivot columns are triangular. Elimination
+    stops once `target` pivots are found. Stored per pivot, in the order
+    found: its leading column, the row it came from, the inverse of the
+    leading entry it was normalized by, the earlier pivots subtracted from
+    it with their factors, and the nonzero entries after its leading
+    column. Together these replay the elimination on any right-hand side.
+
+    While a row is reduced it is packed into one integer, an entry per
+    fixed-width slot, so that subtracting a multiple of a pivot row is one
+    big-integer multiply-add. Pivot rows are kept reduced modulo p, so a
+    slot gains less than p^2 per subtraction, and the width leaves room for
+    one subtraction per column; a slot is reduced modulo p only when the
+    scan reaches it.
+    """
+
+    def __init__(self, rows, ncols, p, target):
+        self.p = p
+        self.width = -(-(2 * p.bit_length() + (ncols + 1).bit_length()) // 8) * 8
+        self.lead = {}  # leading column -> pivot index
+        self.col, self.source, self.inv, self.lower, self.entries = [], [], [], [], []
+        self._tails = []  # packed normalized entries after the leading column
+        for i, row in enumerate(rows):
+            if len(self.col) == target:
+                break
+            self._insert(i, row, ncols)
+
+    def _insert(self, i, row, ncols):
+        p, width, lead = self.p, self.width, self.lead
+        mask = (1 << width) - 1
+        v = sum((a % p) << (width * c) for c, a in row.items())
+        start = 0  # the column of v's lowest slot; the columns before it are cleared
+        js, fs = [], []
+        while v:
+            c = start + ((v & -v).bit_length() - 1) // width
+            v >>= width * (c - start)
+            f = (v & mask) % p
+            v >>= width
+            start = c + 1
+            if not f:
+                continue
+            k = lead.get(c)
+            if k is None:
+                self._add_pivot(i, c, f, v, js, fs)
+                return
+            js.append(k)
+            fs.append(f)
+            v += (p - f) * self._tails[k]
+
+    def _add_pivot(self, i, c, f, v, js, fs):
+        p, nbytes = self.p, self.width // 8
+        s = pow(f, -1, p)
+        raw = v.to_bytes(nbytes * -(-v.bit_length() // self.width), "little")
+        slots = (raw[j : j + nbytes] for j in range(0, len(raw), nbytes))
+        tail = [int.from_bytes(slot, "little") * s % p for slot in slots]
+        self.lead[c] = len(self.col)
+        self.col.append(c)
+        self.source.append(i)
+        self.inv.append(s)
+        self.lower.append((js, fs))
+        self.entries.append([(j, a) for j, a in enumerate(tail, c + 1) if a])
+        packed = b"".join(a.to_bytes(nbytes, "little") for a in tail)
+        self._tails.append(int.from_bytes(packed, "little"))
+
+
+def _reconstruct(residues, modulus):
+    """Integers (nums, den) with nums[k] = den * residues[k] modulo modulus.
+
+    Entries are reconstructed one at a time against a running common
+    denominator (Wang's rational reconstruction, with every numerator and
+    the final denominator at most isqrt((modulus - 1) // 2)), so an entry
+    whose denominator divides the running one needs no Euclid run. Returns
+    None when some entry has no such fraction; the fractions are unique
+    when they exist.
+    """
+    bound = isqrt((modulus - 1) // 2)
+    den = 1
+    scaled = []
+    for u in residues:
+        w = den * u % modulus
+        if w > modulus // 2:
+            w -= modulus
+        if abs(w) > bound:
+            r0, r1, t0, t1 = modulus, w % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if not 0 < abs(t1) <= bound // den:
+                return None
+            w = r1 if t1 > 0 else -r1
+            den *= abs(t1)
+        scaled.append((w, den))
+    return [w * (den // d) for w, d in scaled], den
+
+
+# Dixon steps between two attempts at rational reconstruction
+_RECONSTRUCT_EVERY = 2
+
+
+def _lift(rows, ncols, ech):
+    """The kernel vector of the pivot rows, scaled to integers.
+
+    ech has exactly one free column. Fixing that coordinate to 1 leaves a
+    square system in the pivot columns, nonsingular modulo p, whose
+    solution is lifted p-adically (Dixon): each step solves modulo p by
+    replaying the stored elimination, then divides the residual by p after
+    one sparse integer matrix-vector product. Reconstruction is tried every
+    few steps, and a candidate is returned once it kills every row exactly.
+    By Cramer's rule the solution's numerators and denominators are minors
+    of the pivot rows, so at most Hadamard's bound H; once p^steps > 2 H^2
+    the reconstruction is the solution itself, and if it fails the check no
+    nonzero kernel vector exists and None is returned.
+    """
+    p, lead, col = ech.p, ech.lead, ech.col
+    K = len(col)
+    free = next(c for c in range(ncols) if c not in lead)
+    # the square system by pivot: integer rows without the free column, and
+    # the right-hand side of free coordinate 1
+    square, r = [], []
+    for i in ech.source:
+        entries = [(lead[c], a) for c, a in rows[i].items() if c != free]
+        square.append((tuple(k for k, _ in entries), tuple(a for _, a in entries)))
+        r.append(-rows[i].get(free, 0))
+    upper = []
+    for entries in ech.entries:
+        entries = [(lead[c], a) for c, a in entries if c != free]
+        upper.append((tuple(j for j, _ in entries), tuple(a for _, a in entries)))
+    backward = sorted(range(K), key=col.__getitem__, reverse=True)
+    stop_bits = 2 * sum(_norm_bits(rows[i]) for i in ech.source) + 1
+    solution, modulus, step = [0] * K, 1, 0
+    while True:
+        w = [0] * K
+        for k, (js, fs) in enumerate(ech.lower):
+            w[k] = (r[k] - sum(map(mul, fs, map(w.__getitem__, js)))) * ech.inv[k] % p
+        y = [0] * K
+        for k in backward:
+            js, us = upper[k]
+            y[k] = (w[k] - sum(map(mul, us, map(y.__getitem__, js)))) % p
+        r = [
+            (rk - sum(map(mul, vals, map(y.__getitem__, idx)))) // p
+            for rk, (idx, vals) in zip(r, square)
+        ]
+        solution = [a + b * modulus for a, b in zip(solution, y)]
+        modulus *= p
+        step += 1
+        final = modulus.bit_length() > stop_bits  # modulus is odd, so > 2 H^2
+        if final or step % _RECONSTRUCT_EVERY == 0:
+            found = _reconstruct(solution, modulus)
+            if found is not None:
+                x = [0] * ncols
+                for c, a in zip(col, found[0]):
+                    x[c] = a
+                x[free] = found[1]
+                if all(sum(a * x[c] for c, a in row.items()) == 0 for row in rows):
+                    return x
+            if final:
+                return None
+
+
+def _kernel_line(rows, ncols):
+    """A nonzero integer vector spanning the right kernel of integer rows.
+
+    rows are sparse, dicts from column to int. The kernel must be one line
+    over Q, as the socle of a Gorenstein algebra is; otherwise
+    DegenerateSocleError reports its dimension. The result is certified
+    exactly:
+    - the nullity modulo a prime bounds the nullity over Q from above, and
+      a vector that kills every row over the integers bounds it from below;
+    - a prime that leaves one free column gives the only candidate line,
+      which `_lift` either certifies or proves absent;
+    - a prime that leaves two or more free columns is retried with the next
+      prime below it. Every prime whose rank falls short of the rank over Q
+      divides one nonzero minor, which Hadamard's inequality bounds by the
+      largest row norms, so once the product of the primes tried exceeds
+      that bound the smallest nullity seen is the nullity over Q.
+    Primes descend from _PRIME, found by trial division.
+    """
+    bound = sum(sorted(map(_norm_bits, rows), reverse=True)[:ncols])
+    p, tried, nullity = _PRIME, 1, ncols
+    while True:
+        ech = _EchelonModP(rows, ncols, p, ncols - 1)
+        free = ncols - len(ech.col)
+        if free == 1:
+            x = _lift(rows, ncols, ech)
+            if x is None:
+                raise DegenerateSocleError("socle has dimension 0, expected 1")
+            return x
+        nullity = min(nullity, free)
+        tried *= p
+        if tried.bit_length() > bound + 1:
+            raise DegenerateSocleError(f"socle has dimension {nullity}, expected 1")
+        p = _prev_prime(p)
 
 
 class MatrixQ:

@@ -9,15 +9,17 @@ against the Jacobian determinant. Packaging the functional's values as a
 form on the dual space yields the associated form of the tuple, and of a
 single nondegenerate polynomial via its gradient.
 
-All computations are exact: ranks and kernels come from fraction-free
-elimination over the integers.
+All computations are exact. Graded ranks come from rank_rows on the
+cleared coefficient rows. The socle line is solved p-adically from
+integer rows built by exponent shifts, and checked against every row over
+the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .errors import (
     DegenerateSocleError,
@@ -25,8 +27,8 @@ from .errors import (
     InputError,
     NondegeneracyError,
 )
-from .linalg import nullspace_rows, rank_rows
-from .poly import Poly, Space, factorial_product, jacobian, monomial_basis
+from .linalg import _kernel_line, rank_rows
+from .poly import Poly, Space, _pack, _to_int, factorial_product, jacobian, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,27 @@ def _generator_rows(ft, k, basis):
     return rows
 
 
+def _shift_rows(ft, k):
+    # The rows of _int_rows(_generator_rows(ft, k, basis)), built as sparse
+    # integer rows: each form is cleared of denominators and content once,
+    # and each shift m * f_j places its coefficients through a
+    # monomial-to-column index, adding packed exponents.
+    if k < ft.degree:
+        return []
+    base = k + 1
+    column = {_pack(m, base): i for i, m in enumerate(monomial_basis(ft.nvars, k))}
+    forms = []
+    for f in ft.forms:
+        packed = _to_int(f, base, lcm(*(c.denominator for _, c in f.items())))
+        g = gcd(*packed.values())
+        forms.append([(key, c // g) for key, c in packed.items()])
+    return [
+        {column[shift + key]: c for key, c in terms}
+        for shift in (_pack(m, base) for m in monomial_basis(ft.nvars, k - ft.degree))
+        for terms in forms
+    ]
+
+
 def ideal_graded_dim(ft, k):
     """Dimension of the degree-k piece of the ideal spanned by the tuple."""
     if k < ft.degree:
@@ -197,16 +220,14 @@ def socle_functional(ft):
     n = ft.nvars
     nu = ft.top_degree
     basis = monomial_basis(n, nu)
-    rows = _generator_rows(ft, nu, basis) if nu >= ft.degree else []
-    kernel = nullspace_rows(rows, ncols=len(basis))
-    if len(kernel) != 1:
-        raise DegenerateSocleError(f"socle has dimension {len(kernel)}, expected 1")
+    # any vector on the kernel line will do: the pairing below rescales it
+    kernel = _kernel_line(_shift_rows(ft, nu), len(basis))
     jac = jacobian(ft)
     jvec = jac.coefficient_vector(nu, basis)
-    scale = sum((a * b for a, b in zip(kernel[0], jvec)), Fraction(0))
+    scale = sum((a * b for a, b in zip(kernel, jvec)), Fraction(0))
     if scale == 0:
         raise DegenerateSocleError("Jacobian lies in the ideal's top piece")
-    covector = tuple(x / scale for x in kernel[0])
+    covector = tuple(x / scale for x in kernel)
     return SocleFunctional(n=n, top_degree=nu, covector=covector, normalizer=jac)
 
 

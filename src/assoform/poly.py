@@ -445,14 +445,26 @@ def diamond(g, F):
 # way in and divide once per term on the way out.
 
 
+def _pack(mono, base):
+    key = 0
+    for e in mono:
+        key = key * base + e
+    return key
+
+
 def _to_int(p, base, den):
     """den * p as a packed integer polynomial; den must clear p's denominators."""
+    return {_pack(mono, base): c.numerator * (den // c.denominator) for mono, c in p._terms.items()}
+
+
+def _int_partial(terms, index, nvars, base):
+    """Partial derivative of a packed integer polynomial by a 0-based variable."""
+    step = base ** (nvars - 1 - index)
     out = {}
-    for mono, c in p._terms.items():
-        key = 0
-        for e in mono:
-            key = key * base + e
-        out[key] = c.numerator * (den // c.denominator)
+    for key, c in terms.items():
+        e = key // step % base
+        if e:
+            out[key - step] = c * e
     return out
 
 
@@ -525,18 +537,13 @@ def act(C, f, kind):
     return _from_int(acc, n, f.space, base, fden * D**top)
 
 
-def _poly_det(rows):
-    """Determinant of a square matrix of Polys by Laplace expansion.
+def _int_det(rows):
+    """Determinant of a square matrix of packed integer polynomials.
 
-    Each row is scaled to integers once, and the minors are memoized by
-    their column set, so each of the 2^n column sets is expanded once.
+    Laplace expansion along the rows, with the minors memoized by their
+    column set, so each of the 2^n column sets is expanded once.
     """
     n = len(rows)
-    nvars, space = rows[0][0].nvars, rows[0][0].space
-    # no exponent of the determinant exceeds the sum of the rows' degrees
-    base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
-    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
-    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
     memo = {}
 
     def minor(cols):
@@ -544,18 +551,28 @@ def _poly_det(rows):
         if cols not in memo:
             r = n - len(cols)
             if len(cols) == 1:
-                memo[cols] = irows[r][cols[0]]
+                memo[cols] = rows[r][cols[0]]
             else:
                 acc = {}
                 for pos, j in enumerate(cols):
-                    if irows[r][j]:
+                    if rows[r][j]:
                         sub = minor(cols[:pos] + cols[pos + 1 :])
                         if sub:
-                            _addmul(acc, irows[r][j], sub, -1 if pos % 2 else 1)
+                            _addmul(acc, rows[r][j], sub, -1 if pos % 2 else 1)
                 memo[cols] = {k: v for k, v in acc.items() if v}
         return memo[cols]
 
-    return _from_int(minor(tuple(range(n))), nvars, space, base, prod(dens))
+    return minor(tuple(range(n)))
+
+
+def _poly_det(rows):
+    """Determinant of a square matrix of Polys, each row scaled to integers once."""
+    nvars, space = rows[0][0].nvars, rows[0][0].space
+    # no exponent of the determinant exceeds the sum of the rows' degrees
+    base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
+    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
+    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
+    return _from_int(_int_det(irows), nvars, space, base, prod(dens))
 
 
 def hessian(f, nvars=None):
@@ -563,8 +580,8 @@ def hessian(f, nvars=None):
 
     For homogeneous f of degree d in n variables the result is homogeneous
     of degree n(d-2). Transforms with determinant weight -2 under ON_FORMS.
-    The determinant is expanded over the integers after the denominators of
-    each row are cleared once.
+    The denominators of f are cleared once; the partials are then taken and
+    the determinant expanded over the integers.
     """
     if nvars is not None and nvars != f.nvars:
         raise InputError(f"form has {f.nvars} variables, not {nvars}")
@@ -572,17 +589,22 @@ def hessian(f, nvars=None):
     if d is None or d < 2:
         raise InputError("hessian needs a homogeneous form of degree at least 2")
     n = f.nvars
-    grads = [f.partial(i) for i in range(n)]
-    rows = [[grads[i].partial(j) for j in range(n)] for i in range(n)]
-    return _poly_det(rows)
+    # the base exceeds every exponent of f and of its Hessian
+    base = max(n * (d - 2), d) + 1
+    den = lcm(*(c.denominator for c in f._terms.values()))
+    packed = _to_int(f, base, den)
+    grads = [_int_partial(packed, i, n, base) for i in range(n)]
+    rows = [[_int_partial(g, j, n, base) for j in range(n)] for g in grads]
+    return _from_int(_int_det(rows), n, f.space, base, den**n)
 
 
 def jacobian(forms):
     """Determinant of (df_i/dz_j) for n forms in n variables.
 
     The Jacobian of a gradient tuple is exactly the Hessian of the source
-    form, with no sign or scale correction. The determinant is expanded over
-    the integers after the denominators of each row are cleared once.
+    form, with no sign or scale correction. The denominators of each form
+    are cleared once; the partials are then taken and the determinant
+    expanded over the integers.
     """
     forms = list(getattr(forms, "forms", forms))
     n = forms[0].nvars
@@ -591,5 +613,12 @@ def jacobian(forms):
     degs = {f.homogeneous_degree() for f in forms}
     if len(degs) != 1 or degs == {None}:
         raise InputError("jacobian needs nonzero forms of one common degree")
-    rows = [[f.partial(j) for j in range(n)] for f in forms]
-    return _poly_det(rows)
+    e = degs.pop()
+    # the base exceeds every exponent of the forms and of their Jacobian
+    base = max(n * (e - 1), e) + 1
+    dens = [lcm(*(c.denominator for c in f._terms.values())) for f in forms]
+    rows = []
+    for f, den in zip(forms, dens):
+        packed = _to_int(f, base, den)
+        rows.append([_int_partial(packed, j, n, base) for j in range(n)])
+    return _from_int(_int_det(rows), n, forms[0].space, base, prod(dens))

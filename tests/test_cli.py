@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from assoform import apolarity, duality, milnor, sampling, suites
+from assoform import apolarity, duality, linalg, milnor, sampling, suites
 from assoform.cli import main
 from assoform.errors import DegenerateFamilyError
 from assoform.invariants import TernaryCubicFamily, a6_family
@@ -232,9 +232,10 @@ def _raise(error):
     "target, name, stub, argv, message",
     [
         (
+            # the real solver, given one unit row per column: its kernel is 0
             milnor,
-            "nullspace_rows",
-            lambda rows, ncols=None: [],
+            "_kernel_line",
+            lambda rows, ncols: linalg._kernel_line(rows + [{c: 1} for c in range(ncols)], ncols),
             ("assoc", "z1^4+z2^4", "--n", "2", "--d", "4"),
             "socle has dimension 0",
         ),
@@ -316,6 +317,41 @@ PINNED_STDOUT = {
         "4a162244980b601f0ad81b01f304f2fbbb7e8f3dbcf7ca5ada2295f3de9cbe27",
     ("assoc", "z1^3+z2^3+z3^3+z4^3+z5^3-z1*z2*z3+2*z3*z4*z5", "--n", "5", "--d", "3"):
         "d946cbcbb4e0b32bc076448d0775f61547c9928a49a798e1535749eff34d91b5",
+    (
+        "assoc",
+        "-2*z1^4 + z1^3*z2 - 4*z1^3*z3 + 3*z1^3*z4 + 4*z1^2*z2^2"
+        " + 4*z1^2*z2*z3 - 4*z1^2*z2*z4 - 2*z1^2*z3^2 - 5*z1^2*z3*z4"
+        " + 5*z1^2*z4^2 - z1*z2^3 - z1*z2^2*z3 + 5*z1*z2^2*z4 - 3*z1*z2*z3^2"
+        " + 4*z1*z2*z3*z4 + 4*z1*z2*z4^2 - 5*z1*z3^3 - 2*z1*z3^2*z4"
+        " - 3*z1*z3*z4^2 - 4*z1*z4^3 - 4*z2^4 + 5*z2^3*z3 - 2*z2^3*z4"
+        " + 5*z2^2*z3^2 - 2*z2^2*z3*z4 + 4*z2^2*z4^2 + 4*z2*z3^3"
+        " - 4*z2*z3^2*z4 - 4*z2*z3*z4^2 + 3*z2*z4^3 - 5*z3^4 - 4*z3^3*z4"
+        " + 4*z3^2*z4^2 - 4*z3*z4^3 - 3*z4^4",
+        "--n", "4", "--d", "4",
+    ):
+        "917e5faa2e20417cb861ca3e87e42e6481699ecefd9573f314d19987dc804b48",
+    (
+        "assoc",
+        "-4*z1^6 + 5*z1^5*z2 - 5*z1^5*z3 + 5*z1^4*z2^2 - 5*z1^4*z2*z3"
+        " + z1^4*z3^2 + 4*z1^3*z2^3 - 4*z1^3*z2^2*z3 - z1^3*z2*z3^2"
+        " - 4*z1^3*z3^3 + 5*z1^2*z2^4 - 5*z1^2*z2^3*z3 - 4*z1^2*z2^2*z3^2"
+        " + 3*z1^2*z2*z3^3 + 4*z1^2*z3^4 - 2*z1*z2^5 + 3*z1*z2^4*z3"
+        " + 3*z1*z2^3*z3^2 + 4*z1*z2^2*z3^3 + 2*z1*z2*z3^4 + 4*z1*z3^5"
+        " - 2*z2^6 - 5*z2^5*z3 + 3*z2^4*z3^2 + 5*z2^3*z3^3 - 2*z2^2*z3^4"
+        " - 2*z2*z3^5 - 5*z3^6",
+        "--n", "3", "--d", "6",
+    ):
+        "60ee624e05bf2639b58769b0d2db7ca58b454cbe1891c73dffc0e74e0eb2f3cb",
+    (
+        "assoc",
+        "2*z1^5 - 7/2*z1^4*z2 + 5/4*z1^4*z3 - 2/5*z1^3*z2^2 - z1^3*z2*z3"
+        " + 1/3*z1^3*z3^2 + 1/3*z1^2*z2^3 - 3*z1^2*z2^2*z3 - 3*z1^2*z2*z3^2"
+        " + z1^2*z3^3 - z1*z2^4 - 7/2*z1*z2^3*z3 - 7/2*z1*z2^2*z3^2"
+        " - z1*z2*z3^3 + 2*z1*z3^4 - z2^5 - 7/2*z2^4*z3 - 3*z2^3*z3^2"
+        " - z2^2*z3^3 - 2/5*z2*z3^4 - 2/5*z3^5",
+        "--n", "3", "--d", "5",
+    ):
+        "e7508b31c9d7acf1538f010c4c44c3786526ab96ad5a0c216a8039772935690a",
     ("hilbert", "z1^3+z2^3", "z1*z2^2", "z3^3"):
         "e313e27b1abafeb96837fe65fc8d9507c08223866c3275ec459cd8027db1d9ca",
     ("hilbert", "z1^2+z2^2", "z2^2+z3^2", "z3^2+z4^2", "z4^2-z1^2+z1*z2"):

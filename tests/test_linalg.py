@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from assoform import linalg
-from assoform.errors import SingularMatrixError
+from assoform.errors import DegenerateSocleError, SingularMatrixError
 from assoform.linalg import MatrixQ, _int_rows, nullspace_rows, rank_rows, row_echelon_int
 
 
@@ -152,3 +152,103 @@ def test_matrixq_random_inverse_roundtrip():
         made += 1
         assert C @ C.inverse() == MatrixQ.identity(n)
         assert C.det() * C.inverse().det() == 1
+
+
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in _int_rows(rows)]
+
+
+def _assert_same_line(x, rows, ncols):
+    # x is a nonzero multiple of the one vector Bareiss finds
+    (ref,) = nullspace_rows(rows, ncols=ncols)
+    i = next(j for j, v in enumerate(ref) if v)
+    scale = Fraction(x[i]) / ref[i]
+    assert scale and list(x) == [scale * v for v in ref]
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols",
+    [(6, 7), (7, 7), (12, 7), (20, 6), (4, 2)],
+    ids=["wide", "square", "tall", "very tall", "two columns"],
+)
+def test_kernel_line_matches_nullspace_on_dense_rational_rows(nrows, ncols):
+    rng = random.Random(200 + 10 * nrows + ncols)
+    for _ in range(15):
+        rows = _random_matrix(rng, nrows, ncols, ncols - 1, True)
+        _assert_same_line(linalg._kernel_line(_sparse(rows), ncols), rows, ncols)
+
+
+def test_kernel_line_matches_nullspace_on_diagonal_style_rows():
+    # scaled unit rows, repeated and shuffled, that miss one column
+    rng = random.Random(17)
+    for ncols in (1, 2, 9, 40):
+        free = rng.randrange(ncols)
+        rows = [
+            [rng.choice([-3, -1, 2, 5]) * (j == c) for j in range(ncols)]
+            for c in range(ncols)
+            if c != free
+            for _ in range(rng.randint(1, 3))
+        ]
+        rng.shuffle(rows)
+        x = linalg._kernel_line(_sparse(rows), ncols)
+        if rows:
+            _assert_same_line(x, rows, ncols)
+        assert [bool(v) for v in x] == [j == free for j in range(ncols)]
+
+
+def test_kernel_line_of_one_column_without_rows():
+    assert linalg._kernel_line([], 1) == [1]
+    assert linalg._kernel_line([{}, {}], 1) == [1]
+
+
+def test_kernel_line_takes_the_next_prime(monkeypatch):
+    # nullity 1 over Q, 2 modulo the first prime, which divides an entry
+    calls = []
+    real = linalg._prev_prime
+    monkeypatch.setattr(linalg, "_prev_prime", lambda p: calls.append(p) or real(p))
+    # sparse rows are taken as given: clearing content would divide p out
+    x = linalg._kernel_line([{0: 1}, {1: linalg._PRIME}], 3)
+    assert calls == [linalg._PRIME]
+    assert x[:2] == [0, 0] and x[2]
+
+
+def test_next_prime_descends_through_primes():
+    primes = [linalg._PRIME]
+    while len(primes) < 4:
+        primes.append(linalg._prev_prime(primes[-1]))
+    assert primes == [1073741789, 1073741783, 1073741741, 1073741723]
+    primes = [60]
+    while primes[-1] > 2:
+        primes.append(linalg._prev_prime(primes[-1]))
+    assert primes[1:] == [59, 53, 47, 43, 41, 37, 31, 29, 23, 19, 17, 13, 11, 7, 5, 3, 2]
+    with pytest.raises(ValueError):
+        linalg._prev_prime(2)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, dimension",
+    [
+        ([{0: 1}, {1: 1}], 2, 0),
+        ([{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}], 3, 0),
+        ([{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 2, 2: 3, 3: 4}], 4, 2),
+        ([], 2, 2),
+        # nullity 2 over Q, 3 modulo the first prime: the second prime
+        # settles it, and the reported dimension is the one over Q
+        ([{0: 1}, {1: linalg._PRIME}], 4, 2),
+    ],
+    ids=["square", "nonsingular 3x3", "nullity 2", "no rows", "nullity 2 behind a bad prime"],
+)
+def test_kernel_line_rejects_other_nullities(rows, ncols, dimension):
+    with pytest.raises(DegenerateSocleError, match=f"socle has dimension {dimension}, expected 1"):
+        linalg._kernel_line(rows, ncols)
+
+
+def test_reconstruction_recovers_fractions_with_a_common_denominator():
+    p = linalg._PRIME
+    modulus = p**3
+    values = [Fraction(3, 7), Fraction(-5, 14), Fraction(0), Fraction(11, 2)]
+    residues = [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
+    nums, den = linalg._reconstruct(residues, modulus)
+    assert [Fraction(a, den) for a in nums] == values
+    # a residue with no small fraction behind it
+    assert linalg._reconstruct([pow(3, 77, modulus), pow(5, 91, modulus)], modulus) is None

@@ -4,14 +4,17 @@ from math import comb, factorial
 
 import pytest
 
-from assoform import milnor
+from assoform import linalg, milnor
 from assoform.errors import FiniteColengthError, InputError, NondegeneracyError
-from assoform.linalg import MatrixQ
+from assoform.linalg import MatrixQ, _int_rows, nullspace_rows
 from assoform.milnor import (
     AssociatedForm,
     PolyTuple,
+    _generator_rows,
+    _shift_rows,
     associated_form,
     associated_form_tuple,
+    finiteness_degree,
     gradient,
     hilbert_function,
     ideal_graded_dim,
@@ -171,12 +174,12 @@ def test_associated_form_factors_through_gradient():
 
 def test_associated_form_eliminates_each_degree_once(monkeypatch):
     calls = []
-    for name in ("rank_rows", "nullspace_rows"):
+    for name in ("rank_rows", "_kernel_line"):
         real = getattr(milnor, name)
         counted = lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
         monkeypatch.setattr(milnor, name, counted)
     associated_form(quartic_family(1))
-    assert sorted(calls) == ["nullspace_rows", "rank_rows"]
+    assert sorted(calls) == ["_kernel_line", "rank_rows"]
 
 
 def test_associated_form_diagonal():
@@ -312,3 +315,56 @@ def test_hilbert_function_symmetry_and_top():
         assert h[-1] == 1
         assert h[0] == 1
         assert len(h) == ft.top_degree + 1
+
+
+def _random_tuple(rng, n, e, rational):
+    pool = range(-4, 5)
+    if rational:
+        pool = [Fraction(a, b) for a in pool for b in (1, 2, 3, 7)]
+    while True:
+        forms = [
+            Poly(n, Space.Z, {m: rng.choice(pool) for m in monomial_basis(n, e)}) for _ in range(n)
+        ]
+        if all(forms):
+            return PolyTuple(forms)
+
+
+def _dense(rows, ncols):
+    out = []
+    for row in rows:
+        dense = [0] * ncols
+        for c, v in row.items():
+            dense[c] = v
+        out.append(dense)
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_shift_rows_equal_the_cleared_generator_rows(rational):
+    rng = random.Random(41 + rational)
+    for n, e in [(1, 3), (2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        ft = _random_tuple(rng, n, e, rational)
+        for k in sorted({e - 1, e, ft.top_degree, finiteness_degree(ft)}):
+            if k < 0:
+                continue
+            basis = monomial_basis(n, k)
+            expected = _int_rows(_generator_rows(ft, k, basis)) if k >= e else []
+            assert _dense(_shift_rows(ft, k), len(basis)) == expected
+
+
+def test_dense_socle_lifts_through_several_reconstructions(monkeypatch):
+    # a dense (4,4) gradient: the socle vector's entries run to hundreds of
+    # bits, so the first reconstructions come too early and must be rejected
+    rng = random.Random(44)
+    f = Poly(4, Space.Z, {m: rng.choice([-5, -3, -1, 1, 2, 4]) for m in monomial_basis(4, 4)})
+    ft = gradient(f)
+    basis = monomial_basis(4, ft.top_degree)
+    attempts = []
+    real = linalg._reconstruct
+    monkeypatch.setattr(linalg, "_reconstruct", lambda *a: attempts.append(1) or real(*a))
+    x = linalg._kernel_line(_shift_rows(ft, ft.top_degree), len(basis))
+    assert len(attempts) > 1
+    assert max(abs(v) for v in x).bit_length() > 200
+    (ref,) = nullspace_rows(_generator_rows(ft, ft.top_degree, basis), ncols=len(basis))
+    i = next(j for j, v in enumerate(ref) if v)
+    assert [Fraction(v) for v in x] == [x[i] / ref[i] * v for v in ref]

@@ -1,4 +1,4 @@
-"""Property tests of the polynomial layer; skipped when hypothesis is absent."""
+"""Property tests of the polynomial and socle layers; skipped when hypothesis is absent."""
 
 from fractions import Fraction
 
@@ -8,12 +8,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from assoform.linalg import MatrixQ  # noqa: E402
+from assoform.linalg import MatrixQ, _int_rows, nullspace_rows  # noqa: E402
+from assoform.milnor import (  # noqa: E402
+    PolyTuple,
+    _generator_rows,
+    hilbert_function,
+    is_finite_colength,
+    socle_functional,
+)
 from assoform.poly import (  # noqa: E402
     ActionKind,
     Poly,
     Space,
     act,
+    jacobian,
     monomial_basis,
     parse_poly,
     render_poly,
@@ -72,3 +80,41 @@ def any_poly(draw):
 def test_parse_inverts_render(p):
     assert parse_poly(render_poly(p), p.nvars, p.space) == p
 
+
+
+@st.composite
+def finite_colength_tuples(draw):
+    """n forms of degree e in n variables whose ideal has finite colength."""
+    n = draw(st.integers(2, 3))
+    e = draw(st.integers(1, 3 if n == 2 else 2))
+    coeffs = st.dictionaries(st.sampled_from(monomial_basis(n, e)), rationals, min_size=1)
+    forms = [Poly(n, Space.Z, draw(coeffs)) for _ in range(n)]
+    hypothesis.assume(all(forms))
+    ft = PolyTuple(forms)
+    hypothesis.assume(is_finite_colength(ft))
+    return ft
+
+
+def bareiss_covector(ft):
+    # the socle line from the Bareiss nullspace of the cleared Fraction rows
+    nu = ft.top_degree
+    basis = monomial_basis(ft.nvars, nu)
+    rows = _int_rows(_generator_rows(ft, nu, basis)) if nu >= ft.degree else []
+    (kernel,) = nullspace_rows(rows, ncols=len(basis))
+    jvec = jacobian(ft).coefficient_vector(nu, basis)
+    scale = sum((a * b for a, b in zip(kernel, jvec)), Fraction(0))
+    return tuple(x / scale for x in kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_colength_tuples())
+def test_socle_functional_matches_the_bareiss_reference(ft):
+    assert socle_functional(ft).covector == bareiss_covector(ft)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_colength_tuples())
+def test_hilbert_function_is_symmetric_with_top_value_one(ft):
+    h = hilbert_function(ft)
+    assert h == h[::-1]
+    assert h[-1] == 1
