@@ -11,7 +11,7 @@ echelon form bit for bit.
 
 A kernel that must be one line, such as the socle of a Gorenstein
 algebra, is solved from sparse integer rows by p-adic lifting instead
-(`_kernel_line`), with no Fraction and no Bareiss elimination: one
+(`kernel_line`), with no Fraction and no Bareiss elimination: one
 elimination modulo a prime, Dixon lifting of the square system that fixes
 the free coordinate, rational reconstruction, and an exact check of the
 result against every row over the integers.
@@ -341,7 +341,7 @@ def _lift(rows, ncols, ech):
                 return None
 
 
-def _kernel_line(rows, ncols):
+def kernel_line(rows, ncols):
     """A nonzero integer vector spanning the right kernel of integer rows.
 
     rows are sparse, dicts from column to int. The kernel must be one line

@@ -10,9 +10,11 @@ form on the dual space yields the associated form of the tuple, and of a
 single nondegenerate polynomial via its gradient.
 
 All computations are exact. Graded ranks come from rank_rows on the
-cleared coefficient rows. The socle line is solved p-adically from
-integer rows built by exponent shifts, and checked against every row over
-the integers.
+cleared coefficient rows. The socle path builds its rows as integers by
+exponent shifts: its fullness matrix is ranked by rank_rows, and its
+socle line is solved p-adically by kernel_line and checked against every
+row over the integers. hilbert_function and the other finiteness checks
+still rank rows built from Poly products.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     InputError,
     NondegeneracyError,
 )
-from .linalg import _kernel_line, rank_rows
+from .linalg import kernel_line, rank_rows
 from .poly import Poly, Space, _pack, _to_int, factorial_product, jacobian, monomial_basis
 
 
@@ -154,7 +156,7 @@ def _shift_rows(ft, k):
     column = {_pack(m, base): i for i, m in enumerate(monomial_basis(ft.nvars, k))}
     forms = []
     for f in ft.forms:
-        packed = _to_int(f, base, lcm(*(c.denominator for _, c in f.items())))
+        packed = _to_int(f, base, lcm(*(c.denominator for c in f._terms.values())))
         g = gcd(*packed.values())
         forms.append([(key, c // g) for key, c in packed.items()])
     return [
@@ -211,17 +213,24 @@ def socle_functional(ft):
     line of functionals and the Jacobian lies outside the ideal's piece,
     so the normalization is well posed; violations of either fact raise
     DegenerateSocleError, which signals a broken caller, not bad input.
+    The fullness matrix is ranked on the same integer shift rows as the
+    socle, and cached where ideal_graded_dim would put it.
     """
+    n = ft.nvars
+    k = finiteness_degree(ft)
+    if k not in ft._dims:
+        ncols = comb(k + n - 1, n - 1)
+        rows = _shift_rows(ft, k)
+        ft._dims[k] = rank_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
     if not is_finite_colength(ft):
         raise FiniteColengthError(
             f"tuple is not a homogeneous system of parameters "
-            f"(ideal not full in degree {finiteness_degree(ft)})"
+            f"(ideal not full in degree {k})"
         )
-    n = ft.nvars
     nu = ft.top_degree
     basis = monomial_basis(n, nu)
     # any vector on the kernel line will do: the pairing below rescales it
-    kernel = _kernel_line(_shift_rows(ft, nu), len(basis))
+    kernel = kernel_line(_shift_rows(ft, nu), len(basis))
     jac = jacobian(ft)
     jvec = jac.coefficient_vector(nu, basis)
     scale = sum((a * b for a, b in zip(kernel, jvec)), Fraction(0))

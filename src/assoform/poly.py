@@ -565,16 +565,6 @@ def _int_det(rows):
     return minor(tuple(range(n)))
 
 
-def _poly_det(rows):
-    """Determinant of a square matrix of Polys, each row scaled to integers once."""
-    nvars, space = rows[0][0].nvars, rows[0][0].space
-    # no exponent of the determinant exceeds the sum of the rows' degrees
-    base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
-    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
-    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
-    return _from_int(_int_det(irows), nvars, space, base, prod(dens))
-
-
 def hessian(f, nvars=None):
     """Determinant of the matrix of second partials.
 

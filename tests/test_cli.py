@@ -234,8 +234,8 @@ def _raise(error):
         (
             # the real solver, given one unit row per column: its kernel is 0
             milnor,
-            "_kernel_line",
-            lambda rows, ncols: linalg._kernel_line(rows + [{c: 1} for c in range(ncols)], ncols),
+            "kernel_line",
+            lambda rows, ncols: linalg.kernel_line(rows + [{c: 1} for c in range(ncols)], ncols),
             ("assoc", "z1^4+z2^4", "--n", "2", "--d", "4"),
             "socle has dimension 0",
         ),

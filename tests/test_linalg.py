@@ -175,7 +175,7 @@ def test_kernel_line_matches_nullspace_on_dense_rational_rows(nrows, ncols):
     rng = random.Random(200 + 10 * nrows + ncols)
     for _ in range(15):
         rows = _random_matrix(rng, nrows, ncols, ncols - 1, True)
-        _assert_same_line(linalg._kernel_line(_sparse(rows), ncols), rows, ncols)
+        _assert_same_line(linalg.kernel_line(_sparse(rows), ncols), rows, ncols)
 
 
 def test_kernel_line_matches_nullspace_on_diagonal_style_rows():
@@ -190,15 +190,15 @@ def test_kernel_line_matches_nullspace_on_diagonal_style_rows():
             for _ in range(rng.randint(1, 3))
         ]
         rng.shuffle(rows)
-        x = linalg._kernel_line(_sparse(rows), ncols)
+        x = linalg.kernel_line(_sparse(rows), ncols)
         if rows:
             _assert_same_line(x, rows, ncols)
         assert [bool(v) for v in x] == [j == free for j in range(ncols)]
 
 
 def test_kernel_line_of_one_column_without_rows():
-    assert linalg._kernel_line([], 1) == [1]
-    assert linalg._kernel_line([{}, {}], 1) == [1]
+    assert linalg.kernel_line([], 1) == [1]
+    assert linalg.kernel_line([{}, {}], 1) == [1]
 
 
 def test_kernel_line_takes_the_next_prime(monkeypatch):
@@ -207,7 +207,7 @@ def test_kernel_line_takes_the_next_prime(monkeypatch):
     real = linalg._prev_prime
     monkeypatch.setattr(linalg, "_prev_prime", lambda p: calls.append(p) or real(p))
     # sparse rows are taken as given: clearing content would divide p out
-    x = linalg._kernel_line([{0: 1}, {1: linalg._PRIME}], 3)
+    x = linalg.kernel_line([{0: 1}, {1: linalg._PRIME}], 3)
     assert calls == [linalg._PRIME]
     assert x[:2] == [0, 0] and x[2]
 
@@ -240,7 +240,7 @@ def test_next_prime_descends_through_primes():
 )
 def test_kernel_line_rejects_other_nullities(rows, ncols, dimension):
     with pytest.raises(DegenerateSocleError, match=f"socle has dimension {dimension}, expected 1"):
-        linalg._kernel_line(rows, ncols)
+        linalg.kernel_line(rows, ncols)
 
 
 def test_reconstruction_recovers_fractions_with_a_common_denominator():

@@ -174,12 +174,12 @@ def test_associated_form_factors_through_gradient():
 
 def test_associated_form_eliminates_each_degree_once(monkeypatch):
     calls = []
-    for name in ("rank_rows", "_kernel_line"):
+    for name in ("rank_rows", "kernel_line"):
         real = getattr(milnor, name)
         counted = lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
         monkeypatch.setattr(milnor, name, counted)
     associated_form(quartic_family(1))
-    assert sorted(calls) == ["_kernel_line", "rank_rows"]
+    assert sorted(calls) == ["kernel_line", "rank_rows"]
 
 
 def test_associated_form_diagonal():
@@ -362,9 +362,32 @@ def test_dense_socle_lifts_through_several_reconstructions(monkeypatch):
     attempts = []
     real = linalg._reconstruct
     monkeypatch.setattr(linalg, "_reconstruct", lambda *a: attempts.append(1) or real(*a))
-    x = linalg._kernel_line(_shift_rows(ft, ft.top_degree), len(basis))
+    x = linalg.kernel_line(_shift_rows(ft, ft.top_degree), len(basis))
     assert len(attempts) > 1
     assert max(abs(v) for v in x).bit_length() > 200
     (ref,) = nullspace_rows(_generator_rows(ft, ft.top_degree, basis), ncols=len(basis))
     i = next(j for j, v in enumerate(ref) if v)
     assert [Fraction(v) for v in x] == [x[i] / ref[i] * v for v in ref]
+
+
+def test_socle_path_ranks_fullness_like_the_generator_rows():
+    # socle_functional ranks the fullness degree on shift rows; the rank it
+    # caches, and so its verdict, must match the Fraction generator rows
+    rng = random.Random(45)
+    for n, e in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+        z1 = Poly(n, Space.Z, {(1,) + (0,) * (n - 1): 1})
+        for trial in range(6):
+            ft = _random_tuple(rng, n, e - (trial >= 3), rational=trial % 2 == 1)
+            if trial >= 3:
+                # a common factor z1 leaves a zero set of positive dimension
+                ft = PolyTuple([z1 * f for f in ft.forms])
+            k = finiteness_degree(ft)
+            full = comb(k + n - 1, n - 1)
+            expected = linalg.rank_rows(_generator_rows(ft, k, monomial_basis(n, k)))
+            try:
+                socle_functional(ft)
+            except FiniteColengthError:
+                assert expected < full and n > 1
+            else:
+                assert expected == full
+            assert ft._dims[k] == expected

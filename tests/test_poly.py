@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -9,7 +10,9 @@ from assoform.poly import (
     ActionKind,
     Poly,
     Space,
-    _poly_det,
+    _from_int,
+    _int_det,
+    _to_int,
     act,
     diamond,
     hessian,
@@ -339,6 +342,16 @@ def test_jacobian_and_hessian_match_reference_laplace():
             grads = [f.partial(i) for i in range(n)]
             rows = [[g.partial(j) for j in range(n)] for g in grads]
             assert hessian(f) == reference_det(rows)
+
+
+def _poly_det(rows):
+    # the integer expansion behind jacobian and hessian, applied to a square
+    # matrix of Polys with each row scaled to integers once
+    nvars, space = rows[0][0].nvars, rows[0][0].space
+    base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
+    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
+    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
+    return _from_int(_int_det(irows), nvars, space, base, prod(dens))
 
 
 def test_poly_det_matches_reference_laplace():
