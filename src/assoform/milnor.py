@@ -220,8 +220,10 @@ def socle_functional(ft):
     k = finiteness_degree(ft)
     if k not in ft._dims:
         ncols = comb(k + n - 1, n - 1)
-        rows = _shift_rows(ft, k)
-        ft._dims[k] = rank_rows([[row.get(c, 0) for c in range(ncols)] for row in rows])
+        # rank_rows reads its rows once, so densifying them lazily keeps no
+        # dense copy alive beside its own integer one
+        rows = ([row.get(c, 0) for c in range(ncols)] for row in _shift_rows(ft, k))
+        ft._dims[k] = rank_rows(rows)
     if not is_finite_colength(ft):
         raise FiniteColengthError(
             f"tuple is not a homogeneous system of parameters "

@@ -87,7 +87,7 @@ def test_each_apolarity_tuple_ranks_its_fullness_matrix_once(monkeypatch):
     calls = []
 
     def counting(rows):
-        calls.append(len(rows))
+        calls.append(rows)
         return original(rows)
 
     monkeypatch.setattr(milnor, "rank_rows", counting)
