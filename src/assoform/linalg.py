@@ -2,19 +2,21 @@
 
 Graded-piece computations reduce to rank and right-nullspace of matrices
 with a few hundred rows; both are done over the integers after clearing
-denominators row by row. A rank is first computed modulo one fixed prime:
-that rank never exceeds the rank over Q, so a full rank modulo the prime is
-exact and is returned as is. Any other rank, and every nullspace basis,
-comes from fraction-free (Bareiss) elimination. Pivoting is deterministic
-(leftmost column, first nonzero row), so repeated runs reproduce the same
-echelon form bit for bit.
+denominators row by row. Everything done modulo a prime goes through one
+elimination, `_EchelonModP`, on sparse integer rows, and it has two
+callers:
+- `rank_rows` eliminates modulo the fixed prime _PRIME. That rank never
+  exceeds the rank over Q, so a full rank modulo the prime is exact and is
+  returned as is;
+- `kernel_line` solves a kernel that must be one line, such as the socle
+  of a Gorenstein algebra, with no Fraction and no Bareiss elimination:
+  the elimination modulo a prime, Dixon lifting of the square system that
+  fixes the free coordinate, rational reconstruction, and an exact check
+  of the result against every row over the integers.
 
-A kernel that must be one line, such as the socle of a Gorenstein
-algebra, is solved from sparse integer rows by p-adic lifting instead
-(`kernel_line`), with no Fraction and no Bareiss elimination: one
-elimination modulo a prime, Dixon lifting of the square system that fixes
-the free coordinate, rational reconstruction, and an exact check of the
-result against every row over the integers.
+Any other rank, and every nullspace basis, comes from fraction-free
+(Bareiss) elimination. Pivoting is deterministic (leftmost column, first
+nonzero row), so repeated runs reproduce the same echelon form bit for bit.
 
 MatrixQ is the small dense matrix used for group elements acting on forms.
 """
@@ -86,51 +88,22 @@ def row_echelon_int(m):
 _PRIME = 1073741789
 
 
-def _full_rank_mod_p(m):
-    """Whether the integer matrix m has rank min(nrows, ncols) modulo _PRIME.
-
-    A pivot row updates only the rows with a nonzero entry in its column,
-    and only at its own nonzero entries, which keeps sparse Macaulay
-    matrices cheap. The pass stops as soon as a full rank is reached or has
-    become impossible. m is left unchanged.
-    """
-    p = _PRIME
-    ncols = len(m[0])
-    target = min(len(m), ncols)
-    active = [[v % p for v in row] for row in m]
-    rank = 0
-    for c in range(ncols):
-        i = next((i for i, row in enumerate(active) if row[c]), None)
-        if i is None:
-            if c + 1 - rank > ncols - target:
-                return False
-            continue
-        pivot = active.pop(i)
-        rank += 1
-        if rank == target:
-            return True
-        inv = pow(pivot[c], -1, p)
-        tail = [(j, v * inv % p) for j, v in enumerate(pivot[c + 1 :], c + 1) if v]
-        for row in active:
-            f = row[c]
-            if f:
-                for j, b in tail:
-                    row[j] = (row[j] - f * b) % p
-    return rank == target
-
-
 def rank_rows(rows):
     """Rank of the matrix whose rows are the given rational vectors.
 
-    A full rank modulo a prime is exact, because reduction modulo a prime
-    can only lower the rank; any other matrix is recomputed by Bareiss
-    elimination over the integers.
+    The cleared rows are eliminated modulo _PRIME by `_EchelonModP`, the
+    elimination behind `kernel_line`. A full rank modulo a prime is exact,
+    because reduction modulo a prime can only lower the rank; any other
+    matrix is recomputed by Bareiss elimination over the integers.
     """
     if not rows:
         return 0
     m = _int_rows(rows)
-    if _full_rank_mod_p(m):
-        return min(len(m), len(m[0]))
+    ncols = len(m[0])
+    target = min(len(m), ncols)
+    sparse = ({c: a for c, a in enumerate(row) if a} for row in m)
+    if len(_EchelonModP(sparse, ncols, _PRIME, target).col) == target:
+        return target
     _, pivots = row_echelon_int(m)
     return len(pivots)
 
@@ -180,6 +153,11 @@ def _norm_bits(row):
 
 class _EchelonModP:
     """Row echelon form modulo p of sparse integer rows, built row by row.
+
+    This is the library's one modular elimination. `rank_rows` reads only
+    the number of pivots, as a certificate of full rank; `kernel_line`
+    replays the stored elimination while it lifts. rows may be any
+    iterable of dicts from column to int; it is read once, in order.
 
     A row is reduced by the pivot rows in ascending order of their leading
     columns, so each pivot row is zero before its leading column, and the

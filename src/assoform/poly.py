@@ -21,6 +21,11 @@ from .errors import DegreeMismatchError, InputError, PolyParseError, SingularMat
 from .linalg import MatrixQ
 
 
+# the coefficient of every missing term; Fractions are immutable, so one
+# shared zero serves every default and every zero of a coefficient vector
+_ZERO = Fraction(0)
+
+
 class Space(enum.Enum):
     Z = "z"
     E = "e"
@@ -119,7 +124,7 @@ class Poly:
         return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
 
     def coeff(self, mono):
-        return self._terms.get(tuple(mono), Fraction(0))
+        return self._terms.get(tuple(mono), _ZERO)
 
     def support(self):
         return set(self._terms)
@@ -172,7 +177,7 @@ class Poly:
         self._check_compatible(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, _ZERO) + c
             if s:
                 terms[m] = s
             else:
@@ -192,7 +197,7 @@ class Poly:
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     m = tuple(a + b for a, b in zip(m1, m2))
-                    s = terms.get(m, Fraction(0)) + c1 * c2
+                    s = terms.get(m, _ZERO) + c1 * c2
                     if s:
                         terms[m] = s
                     else:
@@ -243,7 +248,7 @@ class Poly:
             raise InputError(f"polynomial is not homogeneous of degree {degree}")
         if basis is None:
             basis = monomial_basis(self.nvars, degree)
-        return [self._terms.get(m, Fraction(0)) for m in basis]
+        return [self._terms.get(m, _ZERO) for m in basis]
 
     @classmethod
     def from_vector(cls, nvars, space, degree, vec, basis=None):
@@ -430,7 +435,7 @@ def diamond(g, F):
             for a, b in zip(mg, mf):
                 scale *= perm(b, a)
             m = tuple(b - a for a, b in zip(mg, mf))
-            s = terms.get(m, Fraction(0)) + cg * cf * scale
+            s = terms.get(m, _ZERO) + cg * cf * scale
             if s:
                 terms[m] = s
             else:
@@ -438,7 +443,7 @@ def diamond(g, F):
     return Poly(F.nvars, Space.E, terms)
 
 
-# Integer expansion kernel behind act, jacobian and hessian. A polynomial is
+# Integer expansion kernel behind act and jacobian. A polynomial is
 # a dict from packed monomial to int: exponent i is digit nvars-1-i of the
 # key in base `base`, so adding two keys multiplies their monomials as long
 # as no exponent reaches the base. Callers clear denominators once on the
@@ -565,27 +570,21 @@ def _int_det(rows):
     return minor(tuple(range(n)))
 
 
-def hessian(f, nvars=None):
+def hessian(f):
     """Determinant of the matrix of second partials.
 
     For homogeneous f of degree d in n variables the result is homogeneous
     of degree n(d-2). Transforms with determinant weight -2 under ON_FORMS.
-    The denominators of f are cleared once; the partials are then taken and
-    the determinant expanded over the integers.
+    The Hessian is the Jacobian of the gradient, and is expanded as one;
+    a vanishing partial is a zero row, so the Hessian is then zero.
     """
-    if nvars is not None and nvars != f.nvars:
-        raise InputError(f"form has {f.nvars} variables, not {nvars}")
     d = f.homogeneous_degree()
     if d is None or d < 2:
         raise InputError("hessian needs a homogeneous form of degree at least 2")
-    n = f.nvars
-    # the base exceeds every exponent of f and of its Hessian
-    base = max(n * (d - 2), d) + 1
-    den = lcm(*(c.denominator for c in f._terms.values()))
-    packed = _to_int(f, base, den)
-    grads = [_int_partial(packed, i, n, base) for i in range(n)]
-    rows = [[_int_partial(g, j, n, base) for j in range(n)] for g in grads]
-    return _from_int(_int_det(rows), n, f.space, base, den**n)
+    grads = [f.partial(i) for i in range(f.nvars)]
+    if not all(grads):
+        return Poly.zero(f.nvars, f.space)
+    return jacobian(grads)
 
 
 def jacobian(forms):

@@ -391,3 +391,60 @@ def test_socle_path_ranks_fullness_like_the_generator_rows():
             else:
                 assert expected == full
             assert ft._dims[k] == expected
+
+
+def _grevlex_leads(ft):
+    # leading exponents of a grevlex Groebner basis of the tuple's ideal
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"z1:{ft.nvars + 1}")
+    exprs = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(z**a for z, a in zip(gens, m)))
+            for m, c in f.items()
+        )
+        for f in ft.forms
+    ]
+    basis = sympy.groebner(exprs, *gens, order="grevlex")
+    return [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+
+
+def _groebner_dims(ft):
+    # a homogeneous ideal and its initial ideal have one Hilbert function, so
+    # the degree-k piece has dimension #monomials - #standard monomials
+    leads = _grevlex_leads(ft)
+    dims = []
+    for k in range(ft.top_degree + 2):
+        monos = monomial_basis(ft.nvars, k)
+        standard = [m for m in monos if not any(all(a >= b for a, b in zip(m, lm)) for lm in leads)]
+        dims.append(len(monos) - len(standard))
+    return dims
+
+
+GROEBNER_SHAPES = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n, e", GROEBNER_SHAPES)
+def test_ideal_graded_dim_matches_a_groebner_basis(n, e):
+    rng = random.Random(50 + 10 * n + e)
+    found = 0
+    while found < 3:
+        ft = _random_tuple(rng, n, e, rational=found == 1)
+        if not is_finite_colength(ft):
+            continue
+        found += 1
+        dims = [ideal_graded_dim(ft, k) for k in range(ft.top_degree + 2)]
+        assert dims == _groebner_dims(ft)
+        assert dims[-1] == comb(ft.top_degree + n, n - 1)
+
+
+@pytest.mark.parametrize("n, e", GROEBNER_SHAPES)
+def test_ideal_graded_dim_of_a_common_factor_matches_a_groebner_basis(n, e):
+    # a common linear factor keeps every graded piece short of full, so
+    # every rank from the generating degree on falls back to Bareiss
+    rng = random.Random(60 + 10 * n + e)
+    z1 = Poly(n, Space.Z, {(1,) + (0,) * (n - 1): 1})
+    for rational in (False, True):
+        ft = PolyTuple([z1 * f for f in _random_tuple(rng, n, e - 1, rational).forms])
+        dims = [ideal_graded_dim(ft, k) for k in range(ft.top_degree + 2)]
+        assert dims == _groebner_dims(ft)
+        assert not is_finite_colength(ft)

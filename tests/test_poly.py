@@ -223,8 +223,6 @@ def test_hessian_rejects_low_degree():
         hessian(zp("z1"))
     with pytest.raises(InputError):
         hessian(zp("z1^2 + z1"))
-    with pytest.raises(InputError):
-        hessian(zp("z1^2"), nvars=3)
 
 
 def test_hessian_weight_under_action():

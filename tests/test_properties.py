@@ -1,4 +1,4 @@
-"""Property tests of the polynomial and socle layers; skipped when hypothesis is absent."""
+"""Property tests of the polynomial, linear-algebra and socle layers; skipped when hypothesis is absent."""
 
 from fractions import Fraction
 
@@ -8,12 +8,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from assoform.linalg import MatrixQ, _int_rows, nullspace_rows  # noqa: E402
+from assoform import linalg  # noqa: E402
+from assoform.linalg import MatrixQ, _int_rows, nullspace_rows, rank_rows, row_echelon_int  # noqa: E402
 from assoform.milnor import (  # noqa: E402
     PolyTuple,
     _generator_rows,
+    associated_form,
     hilbert_function,
     is_finite_colength,
+    is_nondegenerate,
     socle_functional,
 )
 from assoform.poly import (  # noqa: E402
@@ -118,3 +121,62 @@ def test_hilbert_function_is_symmetric_with_top_value_one(ft):
     h = hilbert_function(ft)
     assert h == h[::-1]
     assert h[-1] == 1
+
+
+# Sparse integer entries (zero is listed twice to weight it), with multiples
+# of the modular rank's prime and their neighbours, so that a rank lost
+# modulo the prime is drawn too.
+_P = linalg._PRIME
+sparse_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-4, 4),
+    st.integers(-2, 2).map(lambda k: k * _P),
+    st.integers(-2, 2).map(lambda k: k * _P + 1),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(sparse_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        # an integer combination of two rows keeps the rank over Q
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_rank_rows_matches_the_bareiss_rank(rows):
+    _, pivots = row_echelon_int([list(row) for row in rows])
+    assert rank_rows(rows) == len(pivots)
+
+
+@st.composite
+def nondegenerate_forms(draw):
+    """A small nondegenerate binary or ternary form: diagonal plus noise."""
+    n, d = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 3)]))
+    monos = draw(st.sets(st.sampled_from(monomial_basis(n, d)), max_size=3))
+    terms = {m: draw(st.integers(-3, 3)) for m in monos}
+    for i in range(n):
+        diag = tuple(d * (j == i) for j in range(n))
+        terms[diag] = draw(st.sampled_from([1, 2, -1]))
+    f = Poly(n, Space.Z, terms)
+    hypothesis.assume(f and is_nondegenerate(f))
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(nondegenerate_forms(), st.data())
+def test_associated_form_is_equivariant(f, data):
+    # Phi(C f) = det(C)^2 * C.Phi(f) for every invertible C
+    n = f.nvars
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    C = MatrixQ(data.draw(st.lists(row, min_size=n, max_size=n)))
+    hypothesis.assume(C.det() != 0)
+    lhs = associated_form(act(C, f, ActionKind.ON_FORMS)).form
+    assert lhs == C.det() ** 2 * act(C, associated_form(f).form, ActionKind.ON_DUAL_FORMS)
