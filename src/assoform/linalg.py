@@ -2,21 +2,22 @@
 
 Graded-piece computations reduce to rank and right-nullspace of matrices
 with a few hundred rows; both are done over the integers after clearing
-denominators row by row. Everything done modulo a prime goes through one
-elimination, `_EchelonModP`, on sparse integer rows, and it has two
-callers:
-- `rank_rows` eliminates modulo the fixed prime _PRIME. That rank never
-  exceeds the rank over Q, so a full rank modulo the prime is exact and is
-  returned as is;
-- `kernel_line` solves a kernel that must be one line, such as the socle
-  of a Gorenstein algebra, with no Fraction and no Bareiss elimination:
-  the elimination modulo a prime, Dixon lifting of the square system that
-  fixes the free coordinate, rational reconstruction, and an exact check
-  of the result against every row over the integers.
-
-Any other rank, and every nullspace basis, comes from fraction-free
-(Bareiss) elimination. Pivoting is deterministic (leftmost column, first
-nonzero row), so repeated runs reproduce the same echelon form bit for bit.
+denominators row by row, and both come from one certified kernel,
+`_kernel`:
+- `_EchelonModP` eliminates the sparse integer rows modulo a prime, with
+  a fixed pivoting rule (leftmost column, first row to reach it);
+- for each free column, `_lift` solves the square system of the pivot
+  rows with that coordinate 1 and the other free coordinates 0, by Dixon
+  p-adic lifting and rational reconstruction;
+- the prime is kept only when every lifted vector kills every row over
+  the integers and has no entry in a pivot column right of its free
+  column. That proves the pivot columns modulo the prime are those over
+  Q; any other prime is replaced by the next prime below it.
+`rank_rows` takes a full rank modulo the prime as exact and reads any
+other rank off the kernel, `nullspace_rows` returns the kernel in the
+canonical normalization of the pivoting rule, and `kernel_line` returns
+a kernel that must be one line, such as the socle of a Gorenstein
+algebra.
 
 MatrixQ is the small dense matrix used for group elements acting on forms.
 """
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import DegenerateSocleError, SingularMatrixError
+from .errors import AssoformError, DegenerateSocleError, SingularMatrixError
 
 
 def _int_rows(rows):
@@ -47,40 +48,9 @@ def _int_rows(rows):
     return out
 
 
-def row_echelon_int(m):
-    """In-place Bareiss elimination; returns (echelon, pivot_columns).
-
-    All divisions are exact by Sylvester's determinant identity, so the
-    echelon entries stay integers of minor-determinant size.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, ncols):
-                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
-        pivots.append(c)
-        prev = pivot
-        r += 1
-    return m, pivots
+def _sparse(m):
+    # dense integer rows as dicts from column to nonzero entry, lazily
+    return ({c: a for c, a in enumerate(row) if a} for row in m)
 
 
 # The largest prime below 2^30: residues fit in one CPython digit, and
@@ -91,21 +61,20 @@ _PRIME = 1073741789
 def rank_rows(rows):
     """Rank of the matrix whose rows are the given rational vectors.
 
-    The cleared rows are eliminated modulo _PRIME by `_EchelonModP`, the
-    elimination behind `kernel_line`. A full rank modulo a prime is exact,
-    because reduction modulo a prime can only lower the rank; any other
-    matrix is recomputed by Bareiss elimination over the integers.
+    The cleared rows are eliminated modulo _PRIME by `_EchelonModP`. A full
+    rank modulo a prime is exact, because reduction modulo a prime can only
+    lower the rank; any other rank is the number of columns less the
+    length of the certified kernel, which starts from the same elimination.
     """
     if not rows:
         return 0
     m = _int_rows(rows)
     ncols = len(m[0])
     target = min(len(m), ncols)
-    sparse = ({c: a for c, a in enumerate(row) if a} for row in m)
-    if len(_EchelonModP(sparse, ncols, _PRIME, target).col) == target:
+    ech = _EchelonModP(_sparse(m), ncols, _PRIME, target)
+    if len(ech.col) == target:
         return target
-    _, pivots = row_echelon_int(m)
-    return len(pivots)
+    return ncols - len(_kernel(list(_sparse(m)), ncols, ech))
 
 
 def nullspace_rows(rows, ncols=None):
@@ -114,27 +83,16 @@ def nullspace_rows(rows, ncols=None):
     Vectors are normalized with 1 in their free coordinate and 0 in the
     other free coordinates; they are returned in ascending free-column
     order, which makes the basis canonical for the fixed pivoting rule.
+    They are the certified kernel vectors of the cleared rows, each divided
+    by its free coordinate.
     """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    m, pivots = row_echelon_int(_int_rows(rows))
-    ncols = len(m[0])
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    if not rows and ncols is None:
+        raise ValueError("ncols required for an empty matrix")
+    m = _int_rows(rows)
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if x[j]:
-                    s += m[r][j] * x[j]
-            x[pc] = -s / m[r][pc]
-        basis.append(x)
+    for x in _kernel(list(_sparse(m)), len(m[0]) if m else ncols):
+        den = next(v for v in reversed(x) if v)  # the free coordinate
+        basis.append([Fraction(v, den) for v in x])
     return basis
 
 
@@ -154,10 +112,10 @@ def _norm_bits(row):
 class _EchelonModP:
     """Row echelon form modulo p of sparse integer rows, built row by row.
 
-    This is the library's one modular elimination. `rank_rows` reads only
-    the number of pivots, as a certificate of full rank; `kernel_line`
-    replays the stored elimination while it lifts. rows may be any
-    iterable of dicts from column to int; it is read once, in order.
+    This is the library's one modular elimination. `rank_rows` reads the
+    number of pivots as a certificate of full rank; `_kernel` replays the
+    stored elimination while it lifts. rows may be any iterable of dicts
+    from column to int; it is read once, in order.
 
     A row is reduced by the pivot rows in ascending order of their leading
     columns, so each pivot row is zero before its leading column, and the
@@ -259,34 +217,35 @@ def _reconstruct(residues, modulus):
 _RECONSTRUCT_EVERY = 2
 
 
-def _lift(rows, ncols, ech):
-    """The kernel vector of the pivot rows, scaled to integers.
+def _lift(rows, ncols, ech, free):
+    """The kernel vector of the rows with free coordinate `free`, as integers.
 
-    ech has exactly one free column. Fixing that coordinate to 1 leaves a
-    square system in the pivot columns, nonsingular modulo p, whose
-    solution is lifted p-adically (Dixon): each step solves modulo p by
-    replaying the stored elimination, then divides the residual by p after
-    one sparse integer matrix-vector product. Reconstruction is tried every
-    few steps, and a candidate is returned once it kills every row exactly.
-    By Cramer's rule the solution's numerators and denominators are minors
-    of the pivot rows, so at most Hadamard's bound H; once p^steps > 2 H^2
-    the reconstruction is the solution itself, and if it fails the check no
-    nonzero kernel vector exists and None is returned.
+    free is a column without a pivot in ech. Fixing that coordinate to 1
+    and the other free coordinates to 0 leaves a square system in the
+    pivot columns, nonsingular modulo p, whose solution is lifted
+    p-adically (Dixon): each step solves modulo p by replaying the stored
+    elimination, then divides the residual by p after one sparse integer
+    matrix-vector product. Reconstruction is tried every few steps, and a
+    candidate is returned, with its free coordinate positive, once it
+    kills every row exactly. By Cramer's rule the solution's numerators
+    and denominators are minors of the pivot rows, so at most Hadamard's
+    bound H; once p^steps > 2 H^2 the reconstruction is the solution
+    itself, and if it fails the check no kernel vector with these free
+    coordinates exists and None is returned.
     """
     p, lead, col = ech.p, ech.lead, ech.col
     K = len(col)
-    free = next(c for c in range(ncols) if c not in lead)
-    # the square system by pivot: integer rows without the free column, and
-    # the right-hand side of free coordinate 1
+    # the square system by pivot: integer rows on the pivot columns, and the
+    # right-hand side of free coordinate 1
     square, r = [], []
     for i in ech.source:
-        entries = [(lead[c], a) for c, a in rows[i].items() if c != free]
-        square.append((tuple(k for k, _ in entries), tuple(a for _, a in entries)))
+        entries = [(lead[c], a) for c, a in rows[i].items() if c in lead]
+        square.append(([k for k, _ in entries], [a for _, a in entries]))
         r.append(-rows[i].get(free, 0))
     upper = []
     for entries in ech.entries:
-        entries = [(lead[c], a) for c, a in entries if c != free]
-        upper.append((tuple(j for j, _ in entries), tuple(a for _, a in entries)))
+        entries = [(lead[c], a) for c, a in entries if c in lead]
+        upper.append(([j for j, _ in entries], [a for _, a in entries]))
     backward = sorted(range(K), key=col.__getitem__, reverse=True)
     stop_bits = 2 * sum(_norm_bits(rows[i]) for i in ech.source) + 1
     solution, modulus, step = [0] * K, 1, 0
@@ -319,39 +278,60 @@ def _lift(rows, ncols, ech):
                 return None
 
 
+def _kernel(rows, ncols, ech=None):
+    """A basis of the right kernel over Q of sparse integer rows, certified.
+
+    One integer vector per free column of the elimination modulo a prime,
+    in ascending order of that column, which is the vector's last nonzero
+    entry; the vector is 0 in every other free column. A prime is kept
+    when `_lift` returns each vector and no vector has an entry in a pivot
+    column right of its free column. Then:
+    - the vectors kill every row exactly and are independent, so the rank
+      over Q is at most the number of pivots, which bounds it from below;
+    - each free column is a combination of the columns left of it, so the
+      pivot columns modulo the prime are the leftmost pivot columns over
+      Q, and each vector is, up to scale, the one a fraction-free
+      elimination over Q back-substitutes for its free column.
+    Any other prime is retried with the next prime below it, found by
+    trial division. A prime that misses the pivot columns over Q divides
+    every maximal minor on those columns, each bounded by Hadamard's
+    inequality through the largest row norms, so a correct program never
+    tries primes whose product exceeds that bound. ech, if given, is the
+    complete elimination of rows modulo _PRIME.
+    """
+    bound = sum(sorted(map(_norm_bits, rows), reverse=True)[:ncols])
+    p, tried = _PRIME, 1
+    while True:
+        if ech is None:
+            ech = _EchelonModP(rows, ncols, p, ncols)
+        kernel = []
+        for free in range(ncols):
+            if free in ech.lead:
+                continue
+            x = _lift(rows, ncols, ech, free)
+            if x is None or any(x[c] for c in ech.col if c > free):
+                break
+            kernel.append(x)
+        else:
+            return kernel
+        tried *= p
+        if tried.bit_length() > bound + 1:
+            raise AssoformError(f"no prime certified a kernel of {len(rows)}x{ncols} rows")
+        p, ech = _prev_prime(p), None
+
+
 def kernel_line(rows, ncols):
     """A nonzero integer vector spanning the right kernel of integer rows.
 
     rows are sparse, dicts from column to int. The kernel must be one line
     over Q, as the socle of a Gorenstein algebra is; otherwise
-    DegenerateSocleError reports its dimension. The result is certified
-    exactly:
-    - the nullity modulo a prime bounds the nullity over Q from above, and
-      a vector that kills every row over the integers bounds it from below;
-    - a prime that leaves one free column gives the only candidate line,
-      which `_lift` either certifies or proves absent;
-    - a prime that leaves two or more free columns is retried with the next
-      prime below it. Every prime whose rank falls short of the rank over Q
-      divides one nonzero minor, which Hadamard's inequality bounds by the
-      largest row norms, so once the product of the primes tried exceeds
-      that bound the smallest nullity seen is the nullity over Q.
-    Primes descend from _PRIME, found by trial division.
+    DegenerateSocleError reports its dimension. The vector is the one
+    `_kernel` certifies, so it kills every row exactly.
     """
-    bound = sum(sorted(map(_norm_bits, rows), reverse=True)[:ncols])
-    p, tried, nullity = _PRIME, 1, ncols
-    while True:
-        ech = _EchelonModP(rows, ncols, p, ncols - 1)
-        free = ncols - len(ech.col)
-        if free == 1:
-            x = _lift(rows, ncols, ech)
-            if x is None:
-                raise DegenerateSocleError("socle has dimension 0, expected 1")
-            return x
-        nullity = min(nullity, free)
-        tried *= p
-        if tried.bit_length() > bound + 1:
-            raise DegenerateSocleError(f"socle has dimension {nullity}, expected 1")
-        p = _prev_prime(p)
+    kernel = _kernel(rows, ncols)
+    if len(kernel) != 1:
+        raise DegenerateSocleError(f"socle has dimension {len(kernel)}, expected 1")
+    return kernel[0]
 
 
 class MatrixQ:

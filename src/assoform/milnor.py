@@ -202,7 +202,14 @@ def is_nondegenerate(f):
     d = f.homogeneous_degree()
     if d is None or d < 3:
         raise InputError("nondegeneracy is tested for homogeneous forms of degree at least 3")
-    return is_finite_colength(gradient(f))
+    return _involves_every_variable(f) and is_finite_colength(gradient(f))
+
+
+def _involves_every_variable(f):
+    # A form of degree d >= 2 free of z_i is singular at the point e_i:
+    # its partial in z_i is zero, and every other partial is a form of
+    # degree d - 1 >= 1 free of z_i, so it vanishes there too.
+    return all(any(m[i] for m in f.support()) for i in range(f.nvars))
 
 
 def socle_functional(ft):
@@ -271,15 +278,16 @@ def associated_form(f):
     d = f.homogeneous_degree()
     if d is None or d < 3:
         raise InputError("associated forms are defined for degree at least 3")
-    grad = gradient(f)
-    try:
-        return associated_form_tuple(grad)
-    except FiniteColengthError as exc:
-        raise NondegeneracyError(
-            f"form has a non-isolated singularity "
-            f"(gradient ideal not full in degree {finiteness_degree(grad)})",
-            degree=finiteness_degree(grad),
-        ) from exc
+    if _involves_every_variable(f):
+        try:
+            return associated_form_tuple(gradient(f))
+        except FiniteColengthError:
+            pass
+    k = f.nvars * (d - 2) + 1  # the finiteness degree of the gradient
+    raise NondegeneracyError(
+        f"form has a non-isolated singularity (gradient ideal not full in degree {k})",
+        degree=k,
+    )
 
 
 def hilbert_function(ft):

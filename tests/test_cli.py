@@ -33,6 +33,14 @@ def test_assoc_degenerate_exits_2(capsys):
     assert doc["results"]["error"]["degree"] == 5
 
 
+def test_assoc_of_a_form_free_of_a_variable_exits_2(capsys):
+    rc, doc, _ = run(capsys, "assoc", "3*z2^3", "--n", "2", "--d", "3")
+    assert rc == 2
+    error = doc["results"]["error"]
+    assert error["message"].startswith("form has a non-isolated singularity")
+    assert error["degree"] == 3
+
+
 def test_assoc_fermat_cubic_three_variables(capsys):
     rc, doc, _ = run(capsys, "assoc", "z1^3+z2^3+z3^3", "--n", "3", "--d", "3")
     assert rc == 0

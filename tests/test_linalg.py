@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import bareiss
 from assoform import linalg
-from assoform.errors import DegenerateSocleError, SingularMatrixError
-from assoform.linalg import MatrixQ, _int_rows, nullspace_rows, rank_rows, row_echelon_int
+from assoform.errors import AssoformError, DegenerateSocleError, SingularMatrixError
+from assoform.linalg import MatrixQ, _int_rows, nullspace_rows, rank_rows
 
 
 def test_rank_simple():
@@ -24,10 +25,6 @@ def test_rank_rational_entries():
     assert rank_rows(rows) == 2
 
 
-def _bareiss_rank(rows):
-    return len(row_echelon_int(_int_rows(rows))[1]) if rows else 0
-
-
 def _random_matrix(rng, nrows, ncols, rank, rational):
     # product of random nrows x rank and rank x ncols factors, redrawn until
     # Bareiss finds the rank min(rank, nrows, ncols)
@@ -36,7 +33,7 @@ def _random_matrix(rng, nrows, ncols, rank, rational):
         left = [[Fraction(rng.randint(-3, 3), den()) for _ in range(rank)] for _ in range(nrows)]
         right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
         rows = [[sum(a * r[j] for a, r in zip(row, right)) for j in range(ncols)] for row in left]
-        if _bareiss_rank(rows) == min(rank, nrows, ncols):
+        if bareiss.rank(rows) == min(rank, nrows, ncols):
             return rows
 
 
@@ -52,26 +49,32 @@ def test_rank_matches_bareiss(nrows, ncols, rank, rational):
         rows = _random_matrix(rng, nrows, ncols, rank, rational)
         if rng.random() < 0.5:
             rows.insert(rng.randrange(nrows + 1), [0] * ncols)
-        assert rank_rows(rows) == _bareiss_rank(rows)
+        assert rank_rows(rows) == bareiss.rank(rows)
+        assert nullspace_rows(rows, ncols=ncols) == bareiss.nullspace(rows, ncols)
 
 
-def test_rank_deficient_mod_prime_takes_the_exact_path(monkeypatch):
+def _watch_primes(monkeypatch):
     calls = []
-    real = linalg.row_echelon_int
-    monkeypatch.setattr(linalg, "row_echelon_int", lambda m: calls.append(m) or real(m))
+    real = linalg._prev_prime
+    monkeypatch.setattr(linalg, "_prev_prime", lambda p: calls.append(p) or real(p))
+    return calls
+
+
+def test_rank_deficient_mod_prime_takes_the_next_prime(monkeypatch):
+    calls = _watch_primes(monkeypatch)
     p = linalg._PRIME
     # determinant p: full rank over Q, rank 1 modulo p (rows stay primitive,
     # so clearing denominators does not divide p out)
     assert rank_rows([[p, 1], [0, 1]]) == 2
     assert rank_rows([[Fraction(p, 3), Fraction(1, 3)], [0, 2]]) == 2
-    assert len(calls) == 2
+    assert calls == [p, p]
 
 
-def test_full_rank_skips_bareiss(monkeypatch):
-    def refuse(m):
-        raise AssertionError("Bareiss ran on a matrix of full rank")
+def test_full_rank_lifts_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a kernel vector was lifted for a matrix of full rank")
 
-    monkeypatch.setattr(linalg, "row_echelon_int", refuse)
+    monkeypatch.setattr(linalg, "_lift", refuse)
     rng = random.Random(5)
     for nrows, ncols in [(6, 6), (9, 4), (3, 9)]:
         rank = min(nrows, ncols)
@@ -81,7 +84,7 @@ def test_full_rank_skips_bareiss(monkeypatch):
 
 
 def test_echelon_pivots():
-    m, pivots = row_echelon_int([[0, 1, 2], [1, 0, 1], [1, 1, 3]])
+    m, pivots = bareiss.row_echelon_int([[0, 1, 2], [1, 0, 1], [1, 1, 3]])
     assert pivots == [0, 1]
     assert m[2] == [0, 0, 0]
 
@@ -112,6 +115,22 @@ def test_nullspace_vectors_annihilate():
         for x in basis:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, x)) == 0
+
+
+def test_nullspace_rejects_a_prime_that_moves_a_pivot(monkeypatch):
+    # modulo p the pivot of [p, 1] sits in column 1, over Q in column 0: the
+    # vector lifted for free column 0 has an entry right of it
+    calls = _watch_primes(monkeypatch)
+    p = linalg._PRIME
+    assert nullspace_rows([[p, 1]]) == [[Fraction(-1, p), 1]]
+    assert calls == [p]
+
+
+def test_a_kernel_no_prime_certifies_is_an_internal_error(monkeypatch):
+    # the prime loop ends at the Hadamard bound instead of running forever
+    monkeypatch.setattr(linalg, "_lift", lambda *args: None)
+    with pytest.raises(AssoformError, match="no prime certified a kernel of 1x2 rows"):
+        nullspace_rows([[1, 1]])
 
 
 def test_nullspace_deterministic_normalization():
@@ -160,7 +179,7 @@ def _sparse(rows):
 
 def _assert_same_line(x, rows, ncols):
     # x is a nonzero multiple of the one vector Bareiss finds
-    (ref,) = nullspace_rows(rows, ncols=ncols)
+    (ref,) = bareiss.nullspace(rows, ncols)
     i = next(j for j, v in enumerate(ref) if v)
     scale = Fraction(x[i]) / ref[i]
     assert scale and list(x) == [scale * v for v in ref]

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+import bareiss
 import pytest
 
 from assoform import linalg, milnor
 from assoform.errors import FiniteColengthError, InputError, NondegeneracyError
-from assoform.linalg import MatrixQ, _int_rows, nullspace_rows
+from assoform.linalg import MatrixQ, _int_rows
 from assoform.milnor import (
     AssociatedForm,
     PolyTuple,
@@ -87,6 +88,9 @@ def test_is_nondegenerate():
         assert is_nondegenerate(Poly(2, Space.Z, {(d, 0): 1, (0, d): 1}))
     assert not is_nondegenerate(cubic_family(-3))
     assert not is_nondegenerate(parse_poly("z1*z2*z3", 3, Space.Z))
+    # a form free of a variable has a zero partial: singular on that axis
+    assert not is_nondegenerate(zp("3*z2^3"))
+    assert not is_nondegenerate(parse_poly("z1^4 + z2^4", 3, Space.Z))
     with pytest.raises(InputError):
         is_nondegenerate(zp("z1^2 + z2^2"))
 
@@ -230,6 +234,9 @@ def test_associated_form_degenerate_inputs():
         associated_form(cubic_family(-3))
     with pytest.raises(NondegeneracyError):
         associated_form(parse_poly("z1*z2*z3", 3, Space.Z))
+    with pytest.raises(NondegeneracyError) as info:
+        associated_form(parse_poly("z1^4 + z2^4", 3, Space.Z))
+    assert info.value.degree == 7
 
 
 def test_scaling_law():
@@ -365,7 +372,7 @@ def test_dense_socle_lifts_through_several_reconstructions(monkeypatch):
     x = linalg.kernel_line(_shift_rows(ft, ft.top_degree), len(basis))
     assert len(attempts) > 1
     assert max(abs(v) for v in x).bit_length() > 200
-    (ref,) = nullspace_rows(_generator_rows(ft, ft.top_degree, basis), ncols=len(basis))
+    (ref,) = bareiss.nullspace(_generator_rows(ft, ft.top_degree, basis), len(basis))
     i = next(j for j, v in enumerate(ref) if v)
     assert [Fraction(v) for v in x] == [x[i] / ref[i] * v for v in ref]
 
@@ -440,7 +447,7 @@ def test_ideal_graded_dim_matches_a_groebner_basis(n, e):
 @pytest.mark.parametrize("n, e", GROEBNER_SHAPES)
 def test_ideal_graded_dim_of_a_common_factor_matches_a_groebner_basis(n, e):
     # a common linear factor keeps every graded piece short of full, so
-    # every rank from the generating degree on falls back to Bareiss
+    # every rank from the generating degree on is read off a lifted kernel
     rng = random.Random(60 + 10 * n + e)
     z1 = Poly(n, Space.Z, {(1,) + (0,) * (n - 1): 1})
     for rational in (False, True):
