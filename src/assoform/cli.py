@@ -14,6 +14,7 @@ import argparse
 import enum
 import json
 import logging
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -162,60 +163,32 @@ def cmd_inverse_system(text, nvars, degree):
     )
 
 
-def _invariant_value(name, f):
-    if name == "cat":
-        return catalecticant(f)
-    if name == "i2":
-        return i2_quartic(f)
-    if name == "a4":
-        return aronhold_a4(f)
-    if name == "a6":
-        return a6_family(TernaryCubicFamily.from_poly(f))
-    if name == "delta":
-        if f.nvars == 2:
-            return delta_quartic(f)
-        return delta_cubic_family(TernaryCubicFamily.from_poly(f))
-    if name == "j":
-        if f.nvars == 2:
-            return j_quartic(f)
-        return j_cubic_family(TernaryCubicFamily.from_poly(f))
-    if name == "k":
-        if f.nvars == 2:
-            return k_quartic(f)
-        return k_cubic(f)
-    raise InputError(f"unknown invariant {name!r}")
+_family = TernaryCubicFamily.from_poly
 
-
-INVARIANT_NAMES = ("cat", "i2", "a4", "a6", "delta", "j", "k")
+# binary forms are read as quartics, ternary forms as cubics
+INVARIANTS = {
+    "cat": catalecticant,
+    "i2": i2_quartic,
+    "a4": aronhold_a4,
+    "a6": lambda f: a6_family(_family(f)),
+    "delta": lambda f: delta_quartic(f) if f.nvars == 2 else delta_cubic_family(_family(f)),
+    "j": lambda f: j_quartic(f) if f.nvars == 2 else j_cubic_family(_family(f)),
+    "k": lambda f: k_quartic(f) if f.nvars == 2 else k_cubic(f),
+}
 
 
 def cmd_invariant(name, text, nvars=None):
     if nvars is None:
-        nvars = _max_variable_index(text)
+        nvars = max(map(int, re.findall(r"[ze](\d+)", text)), default=0)
+        if nvars == 0:
+            raise InputError("cannot infer the variable count; pass --n")
     f = _parse_input(text, nvars)
-    value = _invariant_value(name, f)
     return Report(
         command="invariant",
         inputs={"name": name, "poly": render_poly(f), "nvars": nvars},
-        results={"value": value},
+        results={"value": INVARIANTS[name](f)},
         status="pass",
     )
-
-
-def _max_variable_index(text):
-    best = 0
-    for i, ch in enumerate(text):
-        if ch in "ze":
-            j = i + 1
-            digits = ""
-            while j < len(text) and text[j].isdigit():
-                digits += text[j]
-                j += 1
-            if digits:
-                best = max(best, int(digits))
-    if best == 0:
-        raise InputError("cannot infer the variable count; pass --n")
-    return best
 
 
 def cmd_hilbert(texts):
@@ -239,10 +212,7 @@ def cmd_duality_scan(family_name, ts):
         f = family_form(point)
         status = involution_check(f)
         try:
-            if family is Family.BINARY_QUARTIC:
-                j = j_quartic(f)
-            else:
-                j = j_cubic_family(TernaryCubicFamily.from_poly(f))
+            j = INVARIANTS["j"](f)
             mob = mobius(family, j)
         except VanishingInvariantError:
             j = None
@@ -310,7 +280,7 @@ def _build_parser():
     p.set_defaults(run=lambda a: cmd_inverse_system(a.poly, a.n, a.d))
 
     p = sub.add_parser("invariant", help="evaluate a classical invariant")
-    p.add_argument("name", choices=INVARIANT_NAMES)
+    p.add_argument("name", choices=INVARIANTS)
     p.add_argument("poly")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(run=lambda a: cmd_invariant(a.name, a.poly, a.n))

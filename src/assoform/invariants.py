@@ -40,27 +40,6 @@ def _binary_binomial_coeffs(f):
     return [f.coeff((deg - i, i)) / comb(deg, i) for i in range(deg + 1)]
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Binomial-basis coefficients: f = sum C(4,i) a_i z1^(4-i) z2^i."""
-
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    a4: Fraction
-
-    @classmethod
-    def from_poly(cls, f):
-        if f.homogeneous_degree() != 4:
-            raise InputError("expected a binary quartic")
-        return cls(*_binary_binomial_coeffs(f))
-
-    def to_poly(self, space=Space.Z):
-        a = (self.a0, self.a1, self.a2, self.a3, self.a4)
-        return Poly(2, space, {(4 - i, i): comb(4, i) * Fraction(a[i]) for i in range(5)})
-
-
 def catalecticant(f):
     """Hankel determinant of the binomial coefficients of an even-degree form.
 
@@ -177,10 +156,10 @@ class TernaryCubicFamily:
             d=f.coeff((1, 1, 1)) / 6,
         )
 
-    def to_poly(self, space=Space.Z):
+    def to_poly(self):
         return Poly(
             3,
-            space,
+            Space.Z,
             {(3, 0, 0): self.a, (0, 3, 0): self.b, (0, 0, 3): self.c, (1, 1, 1): 6 * self.d},
         )
 

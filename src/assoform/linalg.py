@@ -217,37 +217,51 @@ def _reconstruct(residues, modulus):
 _RECONSTRUCT_EVERY = 2
 
 
-def _lift(rows, ncols, ech, free):
-    """The kernel vector of the rows with free coordinate `free`, as integers.
+def _pivot_system(rows, ech):
+    """The parts of `_lift`'s square system that no free column changes.
 
-    free is a column without a pivot in ech. Fixing that coordinate to 1
-    and the other free coordinates to 0 leaves a square system in the
-    pivot columns, nonsingular modulo p, whose solution is lifted
-    p-adically (Dixon): each step solves modulo p by replaying the stored
-    elimination, then divides the residual by p after one sparse integer
-    matrix-vector product. Reconstruction is tried every few steps, and a
-    candidate is returned, with its free coordinate positive, once it
-    kills every row exactly. By Cramer's rule the solution's numerators
-    and denominators are minors of the pivot rows, so at most Hadamard's
-    bound H; once p^steps > 2 H^2 the reconstruction is the solution
-    itself, and if it fails the check no kernel vector with these free
-    coordinates exists and None is returned.
+    By pivot: the integer pivot row on the pivot columns, as (pivot
+    indices, entries), and the stored entries after its leading column on
+    the same columns. Then the pivots in back-substitution order, and the
+    bit length 2 log2(H) + 1 past which a reconstruction is final, with H
+    Hadamard's bound on the minors of the pivot rows.
     """
-    p, lead, col = ech.p, ech.lead, ech.col
-    K = len(col)
-    # the square system by pivot: integer rows on the pivot columns, and the
-    # right-hand side of free coordinate 1
-    square, r = [], []
+    lead = ech.lead
+    square = []
     for i in ech.source:
         entries = [(lead[c], a) for c, a in rows[i].items() if c in lead]
         square.append(([k for k, _ in entries], [a for _, a in entries]))
-        r.append(-rows[i].get(free, 0))
     upper = []
     for entries in ech.entries:
         entries = [(lead[c], a) for c, a in entries if c in lead]
         upper.append(([j for j, _ in entries], [a for _, a in entries]))
-    backward = sorted(range(K), key=col.__getitem__, reverse=True)
+    backward = sorted(range(len(ech.col)), key=ech.col.__getitem__, reverse=True)
     stop_bits = 2 * sum(_norm_bits(rows[i]) for i in ech.source) + 1
+    return square, upper, backward, stop_bits
+
+
+def _lift(rows, ncols, ech, system, free):
+    """The kernel vector of the rows with free coordinate `free`, as integers.
+
+    free is a column without a pivot in ech, and system is
+    `_pivot_system(rows, ech)`. Fixing that coordinate to 1 and the other
+    free coordinates to 0 leaves a square system in the pivot columns,
+    nonsingular modulo p, whose solution is lifted p-adically (Dixon):
+    each step solves modulo p by replaying the stored elimination, then
+    divides the residual by p after one sparse integer matrix-vector
+    product. Reconstruction is tried every few steps, and a candidate is
+    returned, with its free coordinate positive, once it kills every row
+    exactly. By Cramer's rule the solution's numerators and denominators
+    are minors of the pivot rows, so at most Hadamard's bound H; once
+    p^steps > 2 H^2 the reconstruction is the solution itself, and if it
+    fails the check no kernel vector with these free coordinates exists
+    and None is returned.
+    """
+    square, upper, backward, stop_bits = system
+    p, col = ech.p, ech.col
+    K = len(col)
+    # the right-hand side of free coordinate 1
+    r = [-rows[i].get(free, 0) for i in ech.source]
     solution, modulus, step = [0] * K, 1, 0
     while True:
         w = [0] * K
@@ -304,11 +318,11 @@ def _kernel(rows, ncols, ech=None):
     while True:
         if ech is None:
             ech = _EchelonModP(rows, ncols, p, ncols)
+        free_cols = [c for c in range(ncols) if c not in ech.lead]
+        system = _pivot_system(rows, ech) if free_cols else None
         kernel = []
-        for free in range(ncols):
-            if free in ech.lead:
-                continue
-            x = _lift(rows, ncols, ech, free)
+        for free in free_cols:
+            x = _lift(rows, ncols, ech, system, free)
             if x is None or any(x[c] for c in ech.col if c > free):
                 break
             kernel.append(x)
@@ -387,44 +401,38 @@ class MatrixQ:
             ]
         )
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        result = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                sign = -sign
-            pivot = m[c][c]
-            result *= pivot
-            for i in range(c + 1, n):
-                factor = m[i][c] / pivot
-                if factor:
-                    for j in range(c, n):
-                        m[i][j] -= factor * m[c][j]
-        return sign * result
+    def _gauss_jordan(self):
+        """(det, rows of the inverse), the rows None when the matrix is singular.
 
-    def inverse(self):
+        One Gauss-Jordan elimination over Q of the matrix beside the
+        identity, pivoting on the first nonzero entry of each column.
+        """
         if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
+            raise ValueError("matrix is not square")
         n = self.nrows
         m = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
+        det = Fraction(1)
         for c in range(n):
             pr = next((i for i in range(c, n) if m[i][c] != 0), None)
             if pr is None:
-                raise SingularMatrixError("matrix is singular")
+                return Fraction(0), None
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
+                det = -det
             pivot = m[c][c]
-            m[c] = [v / pivot for v in m[c]]
+            det *= pivot
+            m[c] = [v / pivot if v else v for v in m[c]]
             for i in range(n):
                 if i != c and m[i][c]:
                     factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-        return MatrixQ([row[n:] for row in m])
+                    m[i] = [a - factor * b if b else a for a, b in zip(m[i], m[c])]
+        return det, [row[n:] for row in m]
+
+    def det(self):
+        return self._gauss_jordan()[0]
+
+    def inverse(self):
+        rows = self._gauss_jordan()[1]
+        if rows is None:
+            raise SingularMatrixError("matrix is singular")
+        return MatrixQ(rows)

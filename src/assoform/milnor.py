@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .errors import (
     DegenerateSocleError,
@@ -156,7 +156,7 @@ def _shift_rows(ft, k):
     column = {_pack(m, base): i for i, m in enumerate(monomial_basis(ft.nvars, k))}
     forms = []
     for f in ft.forms:
-        packed = _to_int(f, base, lcm(*(c.denominator for c in f._terms.values())))
+        packed, _ = _to_int(f, base)
         g = gcd(*packed.values())
         forms.append([(key, c // g) for key, c in packed.items()])
     return [

@@ -132,9 +132,6 @@ class Poly:
     def __bool__(self):
         return bool(self._terms)
 
-    def __len__(self):
-        return len(self._terms)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -443,11 +440,11 @@ def diamond(g, F):
     return Poly(F.nvars, Space.E, terms)
 
 
-# Integer expansion kernel behind act and jacobian. A polynomial is
+# Integer expansion kernel behind act, jacobian and hessian. A polynomial is
 # a dict from packed monomial to int: exponent i is digit nvars-1-i of the
 # key in base `base`, so adding two keys multiplies their monomials as long
-# as no exponent reaches the base. Callers clear denominators once on the
-# way in and divide once per term on the way out.
+# as no exponent reaches the base. Denominators are cleared once on the way
+# in and divided out once per term on the way out.
 
 
 def _pack(mono, base):
@@ -457,9 +454,11 @@ def _pack(mono, base):
     return key
 
 
-def _to_int(p, base, den):
-    """den * p as a packed integer polynomial; den must clear p's denominators."""
-    return {_pack(mono, base): c.numerator * (den // c.denominator) for mono, c in p._terms.items()}
+def _to_int(p, base):
+    """(den * p as a packed integer polynomial, den), den the lcm of p's denominators."""
+    den = lcm(*(c.denominator for c in p._terms.values()))
+    packed = {_pack(m, base): c.numerator * (den // c.denominator) for m, c in p._terms.items()}
+    return packed, den
 
 
 def _int_partial(terms, index, nvars, base):
@@ -575,16 +574,20 @@ def hessian(f):
 
     For homogeneous f of degree d in n variables the result is homogeneous
     of degree n(d-2). Transforms with determinant weight -2 under ON_FORMS.
-    The Hessian is the Jacobian of the gradient, and is expanded as one;
-    a vanishing partial is a zero row, so the Hessian is then zero.
+    f is cleared of denominators once; its first and second partials are
+    taken and the determinant expanded over the integers. A vanishing
+    partial is a zero row, so the Hessian is then zero.
     """
     d = f.homogeneous_degree()
     if d is None or d < 2:
         raise InputError("hessian needs a homogeneous form of degree at least 2")
-    grads = [f.partial(i) for i in range(f.nvars)]
-    if not all(grads):
-        return Poly.zero(f.nvars, f.space)
-    return jacobian(grads)
+    n = f.nvars
+    # the base exceeds every exponent of f and of its Hessian
+    base = max(n * (d - 2), d) + 1
+    packed, den = _to_int(f, base)
+    grads = [_int_partial(packed, i, n, base) for i in range(n)]
+    rows = [[_int_partial(g, j, n, base) for j in range(n)] for g in grads]
+    return _from_int(_int_det(rows), n, f.space, base, den**n)
 
 
 def jacobian(forms):
@@ -605,9 +608,9 @@ def jacobian(forms):
     e = degs.pop()
     # the base exceeds every exponent of the forms and of their Jacobian
     base = max(n * (e - 1), e) + 1
-    dens = [lcm(*(c.denominator for c in f._terms.values())) for f in forms]
-    rows = []
-    for f, den in zip(forms, dens):
-        packed = _to_int(f, base, den)
+    rows, dens = [], []
+    for f in forms:
+        packed, den = _to_int(f, base)
         rows.append([_int_partial(packed, j, n, base) for j in range(n)])
+        dens.append(den)
     return _from_int(_int_det(rows), n, forms[0].space, base, prod(dens))

@@ -204,7 +204,7 @@ def test_08_binary_catalecticant_criterion():
     ok = True
     for _ in range(50):
         d = rng.choice((4, 5, 6))
-        F = random_form(rng, 2, 2 * (d - 2), space=Space.E)
+        F = random_form(rng, 2, 2 * (d - 2)).retag(Space.E)
         ok = ok and in_U(F, d) == (catalecticant(F) != 0)
     # spot checks with vanishing catalecticant
     for d, F in (

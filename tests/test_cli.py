@@ -286,6 +286,12 @@ def test_json_uses_sorted_keys(capsys):
     assert out.index('"command"') < out.index('"inputs"') < out.index('"results"')
 
 
+# a binary quartic with nonzero catalecticant and discriminant, and a
+# cubic of the family a z1^3 + b z2^3 + c z3^3 + 6d z1z2z3 with nonzero A4
+# and discriminant, so every invariant name evaluates on one of them
+QUARTIC = "z1^4 - 3*z1^3*z2 + 2*z1^2*z2^2 + 5*z1*z2^3 - 4*z2^4"
+FAMILY_CUBIC = "z1^3 + 2*z2^3 - 3*z3^3 + 3*z1*z2*z3"
+
 # SHA-256 of stdout at fixed seeds and parameters; a change that alters any
 # of these reports changes what a seed means, so it must update them on purpose
 PINNED_STDOUT = {
@@ -370,6 +376,32 @@ PINNED_STDOUT = {
         "3c19f31b963da19c10a1b4e60254c93973286267a607e78e70926f43f3e70888",
     ("inverse-system", "e1^3+e2^3+e3^3", "--n", "3", "--d", "3"):
         "a5d6bf8b60cf9c8580945cb9ee0979826a05b8e70caa6ac33ae37b8d66aef6dc",
+    ("invariant", "cat", QUARTIC, "--n", "2"):
+        "cbf374e910242e5d0ebae4ae1b129e08b083d339de2b225f3b879fa642c71d08",
+    ("invariant", "i2", QUARTIC, "--n", "2"):
+        "3329ec98ce1077a315f5341b3dc017df9d362cd5901ecf6a753fa5414e306b32",
+    ("invariant", "delta", QUARTIC, "--n", "2"):
+        "e31c96e3f9ffa7d3f9d57e63a8a61f916960e38fbe27775cd3ad653d35eae33b",
+    ("invariant", "j", QUARTIC, "--n", "2"):
+        "c2fff0a81f7e7519e0f18333c3988a351389e6898e91cdeaab4626b368107fa7",
+    ("invariant", "k", QUARTIC, "--n", "2"):
+        "eee6c7a7fbd8fb280f2b5e096535bfd9fd62d305562fd27cbbb2e829ae54211b",
+    (
+        "invariant", "a4",
+        "z1^3 + 2*z1^2*z2 - z1*z2*z3 + 3*z2^3 - 1/2*z2*z3^2 + 5*z3^3", "--n", "3",
+    ):
+        "f510c159ba8ec14581674aaaaf86cdc4aad4420534f30497b891ff1af26e60f2",
+    ("invariant", "a6", FAMILY_CUBIC, "--n", "3"):
+        "51552b2dffa7d4ba45b771f0539f14ec0215ce039ce15afd89e0b2864f29ad7f",
+    ("invariant", "delta", FAMILY_CUBIC, "--n", "3"):
+        "63e8deb46adde43c2858b162ad8d19d6db33d9dd26cf3ec989f18e196627690f",
+    ("invariant", "j", FAMILY_CUBIC, "--n", "3"):
+        "e34f7fc0fd1caea12e426f4280dabe1344ee084642d4df094f32628e2bda75a5",
+    ("invariant", "k", FAMILY_CUBIC, "--n", "3"):
+        "65bd518c64986aa72b8bc3e16064fbccfde17af7498df41e304b1850c9278863",
+    # the variable count inferred from the text, the space from its letters
+    ("invariant", "i2", "e1^4 + 2*e1^3*e2 - 1/2*e2^4"):
+        "5734ab1616db104a63ae73e30eeeba5e25aa4aa8a6c1c80091d5493a23b16231",
 }
 
 

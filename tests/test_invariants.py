@@ -10,7 +10,6 @@ from assoform.errors import (
     VanishingInvariantError,
 )
 from assoform.invariants import (
-    QuarticCoeffs,
     SylvesterQuintic,
     TernaryCubicFamily,
     a6_family,
@@ -54,14 +53,6 @@ def cubic_family_poly(t):
 
 
 T_SAMPLES = [0, 1, 3, 5, -1, 6, -6, Fraction(1, 2), Fraction(-7, 3), Fraction(12, 5)]
-
-
-def test_quartic_coeffs_roundtrip():
-    f = zp("z1^4 + 7*z1^2*z2^2 - 2*z1*z2^3 + z2^4")
-    qc = QuarticCoeffs.from_poly(f)
-    assert qc.to_poly() == f
-    assert qc.a2 == Fraction(7, 6)
-    assert qc.a3 == Fraction(-1, 2)
 
 
 def test_catalecticant_values():

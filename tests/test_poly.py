@@ -347,8 +347,12 @@ def _poly_det(rows):
     # matrix of Polys with each row scaled to integers once
     nvars, space = rows[0][0].nvars, rows[0][0].space
     base = sum(max((p.degree() for p in row if p), default=0) for row in rows) + 1
-    dens = [lcm(*(c.denominator for p in row for c in p._terms.values())) for row in rows]
-    irows = [[_to_int(p, base, den) for p in row] for row, den in zip(rows, dens)]
+    irows, dens = [], []
+    for row in rows:
+        packed = [_to_int(p, base) for p in row]
+        den = lcm(*(d for _, d in packed))
+        irows.append([{k: v * (den // d) for k, v in ints.items()} for ints, d in packed])
+        dens.append(den)
     return _from_int(_int_det(irows), nvars, space, base, prod(dens))
 
 

@@ -15,6 +15,7 @@ from assoform.milnor import (  # noqa: E402
     PolyTuple,
     _generator_rows,
     associated_form,
+    associated_form_tuple,
     hilbert_function,
     is_finite_colength,
     is_nondegenerate,
@@ -181,3 +182,17 @@ def test_associated_form_is_equivariant(f, data):
     hypothesis.assume(C.det() != 0)
     lhs = associated_form(act(C, f, ActionKind.ON_FORMS)).form
     assert lhs == C.det() ** 2 * act(C, associated_form(f).form, ActionKind.ON_DUAL_FORMS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nondegenerate_forms(), st.data())
+def test_associated_form_of_a_transformed_gradient(f, data):
+    # Psi(M grad f) = Phi(f) / det(M) for every invertible M
+    n = f.nvars
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    M = MatrixQ(data.draw(st.lists(row, min_size=n, max_size=n)))
+    hypothesis.assume(M.det() != 0)
+    grad = [f.partial(i) for i in range(n)]
+    zero = Poly.zero(n, Space.Z)
+    g = [sum((M[j, i] * grad[i] for i in range(n)), zero) for j in range(n)]
+    assert associated_form_tuple(PolyTuple(g)).form == associated_form(f).form / M.det()
