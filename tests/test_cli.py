@@ -315,6 +315,15 @@ PINNED_STDOUT = {
         "6eff220caf9c3a961f839bd66dafebb887fb19cc120cade10e801d199b3158f5",
     ("verify", "apolarity", "--seed", "2", "--count", "12"):
         "3aa3291b0d45d72264c1f3d98fe6ada15e4b1327df03daa6e9b1f549dc9f971f",
+    # both families, orbit cases at k = 0, 5, 10 and the excluded cubic t = 6, 0
+    ("verify", "involution", "--seed", "1", "--count", "11"):
+        "bcaa22a4c93f3eb0097cbda9462b28c6d23add9b5654f26eb89e6d1b68093eac",
+    ("verify", "quartic", "--seed", "1", "--count", "12"):
+        "f9a77f34b38d9878f325d820dcb3f9a959599b29a0789e0e94c31f90fd1c5bad",
+    ("verify", "cubic", "--seed", "1", "--count", "10"):
+        "d07243c8f4cce5bc55cb65efbe8bb2e1eeb93fea2f3a79cd42efb77bfa42c190",
+    ("verify", "quintic", "--seed", "1", "--count", "5"):
+        "7d2ba887597420c9f71da420077dd612369f3939066ddcead84648bfabf9960d",
     ("duality-scan", "quartic", "--t=0,1,3,6,-6,1/2"):
         "03b7a372084f1b3cf1b131e61137ddb2fd3bbf74c2f9e099f19c0052f1fade2d",
     ("duality-scan", "cubic", "--t=0,1,6,-6,3/2"):
