@@ -25,10 +25,10 @@ from .duality import (
     INFINITY,
     Family,
     FamilyPoint,
+    _involution,
+    _j_transform,
     dual_parameter,
     family_form,
-    involution_check,
-    j_transform_check,
     mobius,
 )
 from .errors import (
@@ -210,7 +210,8 @@ def cmd_duality_scan(family_name, ts):
     for t in ts:
         point = FamilyPoint(family, t)
         f = family_form(point)
-        status = involution_check(f)
+        F = associated_form(f).form
+        status = _involution(f, F)
         try:
             j = INVARIANTS["j"](f)
             mob = mobius(family, j)
@@ -228,7 +229,7 @@ def cmd_duality_scan(family_name, ts):
                 "mobius_image": mob,
                 "involution": status,
                 "dual_t": dual_t,
-                "j_transform": None if dual_t is None else j_transform_check(point),
+                "j_transform": None if dual_t is None else _j_transform(family, f, F),
             }
         )
     return Report(

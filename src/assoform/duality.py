@@ -96,7 +96,12 @@ def involution_check(f):
     f; IMAGE_DEGENERATE when the first image has a vanishing discriminant,
     so the second step is undefined.
     """
-    first = associated_form(f).form.retag(Space.Z)
+    return _involution(f, associated_form(f).form)
+
+
+def _involution(f, F):
+    """involution_check(f), given the associated form F of f."""
+    first = F.retag(Space.Z)
     try:
         second = associated_form(first).form.retag(Space.Z)
     except NondegeneracyError:
@@ -146,8 +151,12 @@ def j_transform_check(p):
     """
     dual_parameter(p)  # same exclusions, same error reporting
     f = family_form(p)
-    F = associated_form(f).form
-    if p.family is Family.BINARY_QUARTIC:
+    return _j_transform(p.family, f, associated_form(f).form)
+
+
+def _j_transform(family, f, F):
+    """j_transform_check on a member f of family with associated form F."""
+    if family is Family.BINARY_QUARTIC:
         j = j_quartic(f)
         return j_quartic(F) == j / (j - 1)
     j = j_cubic_family(TernaryCubicFamily.from_poly(f))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     DegenerateFamilyError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import MatrixQ
 from .milnor import associated_form
-from .poly import Poly, Space, hessian
+from .poly import Poly, Space, _addmul, _from_int, _to_int, hessian
 
 
 def _binary_binomial_coeffs(f):
@@ -62,17 +62,23 @@ def i2_quartic(f):
     return a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2
 
 
+def _quartic_invariants(f):
+    """I2, Cat and the discriminant I2^3 - 27 Cat^2, each evaluated once."""
+    i2, cat = i2_quartic(f), catalecticant(f)
+    return i2, cat, i2**3 - 27 * cat**2
+
+
 def delta_quartic(f):
     """Discriminant normalization I2^3 - 27 Cat^2."""
-    return i2_quartic(f) ** 3 - 27 * catalecticant(f) ** 2
+    return _quartic_invariants(f)[2]
 
 
 def j_quartic(f):
     """Absolute invariant I2^3 / delta; needs a nonvanishing discriminant."""
-    d = delta_quartic(f)
+    i2, _, d = _quartic_invariants(f)
     if d == 0:
         raise VanishingInvariantError("delta")
-    return i2_quartic(f) ** 3 / d
+    return i2**3 / d
 
 
 def k_quartic(f):
@@ -170,17 +176,23 @@ def a6_family(p):
     return abc**2 - 20 * abc * p.d**3 - 8 * p.d**6
 
 
+def _cubic_invariants(p):
+    """A6, A4 and the discriminant A6^2 + 64 A4^3, each evaluated once."""
+    a6, a4 = a6_family(p), aronhold_a4(p.to_poly())
+    return a6, a4, a6**2 + 64 * a4**3
+
+
 def delta_cubic_family(p):
     """Discriminant normalization A6^2 + 64 A4^3 on the family."""
-    return a6_family(p) ** 2 + 64 * aronhold_a4(p.to_poly()) ** 3
+    return _cubic_invariants(p)[2]
 
 
 def j_cubic_family(p):
     """Absolute invariant 64 A4^3 / delta."""
-    d = delta_cubic_family(p)
+    _, a4, d = _cubic_invariants(p)
     if d == 0:
         raise VanishingInvariantError("delta")
-    return 64 * aronhold_a4(p.to_poly()) ** 3 / d
+    return 64 * a4**3 / d
 
 
 def k_cubic(f):
@@ -249,8 +261,9 @@ def verify_quartic_identity(f):
     if f.nvars != 2 or f.homogeneous_degree() != 4 or f.space is not Space.Z:
         raise InputError("expected a binary quartic source form")
     form = associated_form(f).form
-    lhs = hat(delta_quartic(f) * form)
-    rhs = Fraction(1, 3456) * i2_quartic(f) * hessian(f) - Fraction(1, 16) * catalecticant(f) * f
+    i2, cat, delta = _quartic_invariants(f)
+    lhs = hat(delta * form)
+    rhs = Fraction(1, 3456) * i2 * hessian(f) - Fraction(1, 16) * cat * f
     return lhs == rhs
 
 
@@ -259,15 +272,12 @@ def verify_cubic_identity(p):
 
     delta(p) * Phi(f) must equal -A6/36 * Pippian - A4/27 * Quippian.
     """
-    delta = delta_cubic_family(p)
+    a6, a4, delta = _cubic_invariants(p)
     if delta == 0:
         raise DegenerateFamilyError("family member has vanishing discriminant")
     form = associated_form(p.to_poly()).form
     lhs = delta * form
-    rhs = (
-        Fraction(-1, 36) * a6_family(p) * pippian(p)
-        + Fraction(-1, 27) * aronhold_a4(p.to_poly()) * quippian(p)
-    )
+    rhs = Fraction(-1, 36) * a6 * pippian(p) + Fraction(-1, 27) * a4 * quippian(p)
     return lhs == rhs
 
 
@@ -337,19 +347,51 @@ class QuinticCovariants:
 
 
 def quintic_covariants(s):
-    """Evaluate the classical covariants on a Sylvester canonical quintic."""
+    """Evaluate the classical covariants on a Sylvester canonical quintic.
+
+    The covariant forms expand over the integers. With a, b, c = A/L, B/L,
+    C/L and the frame X, Y, Z = x/D, y/D, z/D, each form is a rational scale
+    times an integer combination of products of x, y and z; the scale is
+    divided out once per term at the end.
+    """
     a, b, c = s.a, s.b, s.c
-    X, Y, Z = s.X, s.Y, s.Z
     abc = a * b * c
+    L = lcm(a.denominator, b.denominator, c.denominator)
+    A, B, C = (v.numerator * (L // v.denominator) for v in (a, b, c))
+    base = 7  # no covariant has degree above 6
+    (x, dx), (y, dy) = _to_int(s.X, base), _to_int(s.Y, base)
+    D = lcm(dx, dy)
+    x = {k: v * (D // dx) for k, v in x.items()}
+    y = {k: v * (D // dy) for k, v in y.items()}
+    z = {k: -x.get(k, 0) - y.get(k, 0) for k in x.keys() | y.keys()}
+    one = {0: 1}
+    X, Y, Z = ([one, v] for v in (x, y, z))
+    for pw in (X, Y, Z):
+        for _ in range(4):
+            pw.append(_addmul({}, pw[-1], pw[1]))
+    xy = _addmul({}, x, y)
+
+    def form(scale, *parts):
+        # scale times the sum of w * p * q over the parts (w, p, q)
+        acc = {}
+        for w, p, q in parts:
+            _addmul(acc, p, q, w * scale.numerator)
+        return _from_int(acc, 2, Space.Z, base, scale.denominator)
+
     return QuinticCovariants(
         C40=a**2 * b**2 + b**2 * c**2 + a**2 * c**2 - 2 * abc * (a + b + c),
         C80=abc**2 * (a * b + a * c + b * c),
-        C51=abc * (b * c * X + a * c * Y + a * b * Z),
-        C22=a * b * X * Y + a * c * X * Z + b * c * Y * Z,
-        C33=abc * X * Y * Z,
-        C44=abc * (a * X**4 + b * Y**4 + c * Z**4),
-        C15=s.to_poly(),
-        C26=a * b * X**3 * Y**3 + b * c * Y**3 * Z**3 + a * c * X**3 * Z**3,
+        C51=form(abc / (L**2 * D), (B * C, x, one), (A * C, y, one), (A * B, z, one)),
+        C22=form(Fraction(1, L**2 * D**2), (A * B, xy, one), (A * C, x, z), (B * C, y, z)),
+        C33=form(abc / D**3, (1, xy, z)),
+        C44=form(abc / (L * D**4), (A, X[4], one), (B, Y[4], one), (C, Z[4], one)),
+        C15=form(Fraction(1, L * D**5), (A, X[5], one), (B, Y[5], one), (C, Z[5], one)),
+        C26=form(
+            Fraction(1, L**2 * D**6),
+            (A * B, X[3], Y[3]),
+            (B * C, Y[3], Z[3]),
+            (A * C, X[3], Z[3]),
+        ),
     )
 
 

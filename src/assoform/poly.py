@@ -277,7 +277,7 @@ def parse_poly(text, nvars, space):
     def read_int(what):
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():
             pos += 1
         if pos == start:
             raise PolyParseError(f"expected {what}", start)
@@ -322,7 +322,7 @@ def parse_poly(text, nvars, space):
         first = False
         coeff = Fraction(1)
         exps = [0] * nvars
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos].isdecimal():
             num = read_int("integer")
             save = pos
             skip_ws()

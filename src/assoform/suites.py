@@ -16,10 +16,10 @@ from .duality import (
     Family,
     FamilyPoint,
     InvolutionStatus,
+    _involution,
+    _j_transform,
     dual_parameter,
     family_form,
-    involution_check,
-    j_transform_check,
     orbit_duality_check,
     proportional,
 )
@@ -120,12 +120,14 @@ def _gen_quintic(rng, count):
 
 
 def _involution_case(point):
-    status = involution_check(family_form(point))
+    f = family_form(point)
+    F = associated_form(f).form
+    status = _involution(f, F)
     try:
         dual_parameter(point)
     except ExcludedParameterError:
         return status is InvolutionStatus.IMAGE_DEGENERATE
-    return status is InvolutionStatus.FIXED and j_transform_check(point)
+    return status is InvolutionStatus.FIXED and _j_transform(point.family, f, F)
 
 
 def _gen_involution(rng, count):

@@ -75,6 +75,23 @@ def test_parse_error_exits_3(capsys):
     assert isinstance(doc["results"]["error"]["position"], int)
 
 
+# superscript digits pass str.isdigit but not int(); the parser stops before them
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "cat", "z1²"),
+        ("assoc", "z1³+z2^3", "--n", "2", "--d", "3"),
+    ],
+)
+def test_superscript_digits_are_a_parse_error(capsys, argv):
+    rc, doc, out = run(capsys, *argv)
+    assert rc == 3
+    assert out.count("\n") == 1
+    assert doc["status"] == "error"
+    assert doc["results"]["error"]["position"] == 2
+    assert "expected '+' or '-'" in doc["results"]["error"]["message"]
+
+
 def test_mixed_variable_letters_exits_2(capsys):
     rc, doc, _ = run(capsys, "assoc", "z1^2*e1^2", "--n", "2", "--d", "4")
     assert rc == 2

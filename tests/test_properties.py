@@ -1,4 +1,7 @@
-"""Property tests of the polynomial, linear-algebra and socle layers; skipped when hypothesis is absent."""
+"""Property tests of the polynomial, linear-algebra, socle and covariant layers.
+
+Skipped when hypothesis is absent.
+"""
 
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from assoform import linalg  # noqa: E402
+from assoform.invariants import SylvesterQuintic, quintic_covariants  # noqa: E402
 from assoform.linalg import MatrixQ, nullspace_rows, rank_rows  # noqa: E402
 from assoform.milnor import (  # noqa: E402
     PolyTuple,
@@ -196,3 +200,42 @@ def test_associated_form_of_a_transformed_gradient(f, data):
     zero = Poly.zero(n, Space.Z)
     g = [sum((M[j, i] * grad[i] for i in range(n)), zero) for j in range(n)]
     assert associated_form_tuple(PolyTuple(g)).form == associated_form(f).form / M.det()
+
+
+nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def sylvester_quintics(draw):
+    """a X^5 + b Y^5 + c Z^5 with nonzero rational a, b, c and an invertible rational frame."""
+    a, b, c = (draw(nonzero_rationals) for _ in range(3))
+    x1, x2, y1, y2 = (draw(rationals) for _ in range(4))
+    hypothesis.assume(x1 * y2 != x2 * y1)
+    X = Poly(2, Space.Z, {(1, 0): x1, (0, 1): x2})
+    Y = Poly(2, Space.Z, {(1, 0): y1, (0, 1): y2})
+    return SylvesterQuintic(a, b, c, X, Y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sylvester_quintics())
+def test_quintic_covariants_match_plain_poly_arithmetic(s):
+    a, b, c = s.a, s.b, s.c
+    X, Y = s.X, s.Y
+    Z = -(X + Y)
+    abc = a * b * c
+    reference = {
+        "C40": a**2 * b**2 + b**2 * c**2 + a**2 * c**2 - 2 * abc * (a + b + c),
+        "C80": abc**2 * (a * b + a * c + b * c),
+        "C51": abc * (b * c * X + a * c * Y + a * b * Z),
+        "C22": a * b * X * Y + a * c * X * Z + b * c * Y * Z,
+        "C33": abc * X * Y * Z,
+        "C44": abc * (a * X**4 + b * Y**4 + c * Z**4),
+        "C15": a * X**5 + b * Y**5 + c * Z**5,
+        "C26": a * b * X**3 * Y**3 + b * c * Y**3 * Z**3 + a * c * X**3 * Z**3,
+    }
+    cov = quintic_covariants(s)
+    for name, value in reference.items():
+        got = getattr(cov, name)
+        assert got == value, name
+        if isinstance(value, Poly):
+            assert got.items() == value.items(), name

@@ -1,6 +1,7 @@
 import pytest
 
-from assoform import invariants, milnor, sampling, suites
+from assoform import cli, duality, invariants, milnor, sampling, suites
+from assoform.duality import Family, FamilyPoint
 from assoform.errors import (
     DegenerateFamilyError,
     DegenerateQuinticError,
@@ -108,3 +109,23 @@ def test_each_quintic_evaluates_its_covariants_once(monkeypatch):
     result = suites.run_suite("quintic", 0, 5)
     assert result["pass"]
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_each_involution_point_computes_its_associated_form_once(monkeypatch, capsys, family):
+    # Phi(f) once, Phi(Phi(f)) once: the J comparison reuses the first image
+    original = milnor.associated_form
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (duality, suites, cli):
+        monkeypatch.setattr(module, "associated_form", counting)
+    assert suites._involution_case(FamilyPoint(family, 1))
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.main(["duality-scan", family.value, "--t=1"]) == 0
+    assert '"involution": "fixed"' in capsys.readouterr().out
+    assert len(calls) == 2
