@@ -6,6 +6,10 @@ output; timing and progress go to stderr. Exit codes: 0 success, 1
 verification failure, 2 invalid or degenerate input (usage errors
 included), 3 parse error, 4 internal error. Every error prints the error
 document, never a traceback.
+
+Each subcommand is a thin wrapper over the library: `invariant` looks
+its name up in `invariants.INVARIANTS`, and `duality-scan` prints one
+`duality.scan_point` row per parameter.
 """
 
 from __future__ import annotations
@@ -21,37 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolarity import apolar_tuple
-from .duality import (
-    INFINITY,
-    Family,
-    FamilyPoint,
-    _involution,
-    _j_transform,
-    dual_parameter,
-    family_form,
-    mobius,
-)
-from .errors import (
-    AssoformError,
-    ExcludedParameterError,
-    InputError,
-    NondegeneracyError,
-    PolyParseError,
-    VanishingInvariantError,
-)
-from .invariants import (
-    TernaryCubicFamily,
-    aronhold_a4,
-    a6_family,
-    catalecticant,
-    delta_cubic_family,
-    delta_quartic,
-    i2_quartic,
-    j_cubic_family,
-    j_quartic,
-    k_cubic,
-    k_quartic,
-)
+from .duality import INFINITY, Family, FamilyPoint, scan_point
+from .errors import AssoformError, InputError, NondegeneracyError, PolyParseError
+from .invariants import INVARIANTS
 from .milnor import PolyTuple, associated_form, hilbert_function, is_finite_colength
 from .poly import Poly, Space, grlex_key, parse_poly, render_poly
 from .suites import SUITE_NAMES, run_suite
@@ -163,20 +139,6 @@ def cmd_inverse_system(text, nvars, degree):
     )
 
 
-_family = TernaryCubicFamily.from_poly
-
-# binary forms are read as quartics, ternary forms as cubics
-INVARIANTS = {
-    "cat": catalecticant,
-    "i2": i2_quartic,
-    "a4": aronhold_a4,
-    "a6": lambda f: a6_family(_family(f)),
-    "delta": lambda f: delta_quartic(f) if f.nvars == 2 else delta_cubic_family(_family(f)),
-    "j": lambda f: j_quartic(f) if f.nvars == 2 else j_cubic_family(_family(f)),
-    "k": lambda f: k_quartic(f) if f.nvars == 2 else k_cubic(f),
-}
-
-
 def cmd_invariant(name, text, nvars=None):
     if nvars is None:
         nvars = max(map(int, re.findall(r"[ze](\d+)", text)), default=0)
@@ -206,36 +168,10 @@ def cmd_hilbert(texts):
 
 def cmd_duality_scan(family_name, ts):
     family = Family(family_name)
-    rows = []
-    for t in ts:
-        point = FamilyPoint(family, t)
-        f = family_form(point)
-        F = associated_form(f).form
-        status = _involution(f, F)
-        try:
-            j = INVARIANTS["j"](f)
-            mob = mobius(family, j)
-        except VanishingInvariantError:
-            j = None
-            mob = None
-        try:
-            dual_t = dual_parameter(point)
-        except ExcludedParameterError:
-            dual_t = None
-        rows.append(
-            {
-                "t": point.t,
-                "J": j,
-                "mobius_image": mob,
-                "involution": status,
-                "dual_t": dual_t,
-                "j_transform": None if dual_t is None else _j_transform(family, f, F),
-            }
-        )
     return Report(
         command="duality-scan",
         inputs={"family": family, "t": ts},
-        results={"points": rows},
+        results={"points": [scan_point(FamilyPoint(family, t)) for t in ts]},
         status="pass",
     )
 

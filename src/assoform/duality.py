@@ -8,6 +8,10 @@ itself nondegenerate. On the absolute-invariant side the involution
 induces an explicit Mobius transformation of the J-line, and on orbits it
 exchanges the parameter t with -12/t (quartics) or -18/t (cubics) up to
 inverse-transpose conjugation.
+
+`scan_point` evaluates one family member: Phi(f), Phi(Phi(f)) and J(f)
+once each, and J(Phi(f)) where the dual parameter is defined. Both the
+`duality-scan` command and the `involution` verify suite read its row.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AssoformError, ExcludedParameterError, InputError, NondegeneracyError
-from .invariants import TernaryCubicFamily, j_cubic_family, j_quartic
+from .invariants import INVARIANTS
 from .milnor import associated_form
 from .poly import ActionKind, Poly, Space, act
 
@@ -143,24 +147,42 @@ def orbit_duality_check(p, C):
 
 
 def j_transform_check(p):
-    """Whether J of the associated form is the Mobius image of J of the member.
+    """Whether J of the associated form is the `mobius` image of J of the member.
 
-    Quartics: J(Phi(q_t)) = J(q_t)/(J(q_t) - 1); cubics: J(Phi(c_t)) =
-    1/J(c_t). Parameters where the Mobius image escapes to infinity are
-    excluded (the image form is degenerate exactly there).
+    Parameters where the Mobius image escapes to infinity are excluded
+    (the image form is degenerate exactly there).
     """
     dual_parameter(p)  # same exclusions, same error reporting
+    return scan_point(p)["j_transform"]
+
+
+def scan_point(p):
+    """One family member's row of a duality scan.
+
+    The keys are t, J, mobius_image, involution (an InvolutionStatus),
+    dual_t (None where dual_parameter excludes t) and j_transform (None
+    there too, else whether J(Phi(f)) is the Mobius image of J(f)).
+    J reads binary forms as quartics and ternary forms as cubics, like
+    `assoform invariant j`. The Mobius image is infinite only where the
+    dual parameter is undefined, so j_transform compares two rationals.
+    """
     f = family_form(p)
-    return _j_transform(p.family, f, associated_form(f).form)
-
-
-def _j_transform(family, f, F):
-    """j_transform_check on a member f of family with associated form F."""
-    if family is Family.BINARY_QUARTIC:
-        j = j_quartic(f)
-        return j_quartic(F) == j / (j - 1)
-    j = j_cubic_family(TernaryCubicFamily.from_poly(f))
-    return j_cubic_family(TernaryCubicFamily.from_poly(F)) == 1 / j
+    F = associated_form(f).form
+    status = _involution(f, F)
+    j = INVARIANTS["j"](f)
+    image = mobius(p.family, j)
+    try:
+        dual_t = dual_parameter(p)
+    except ExcludedParameterError:
+        dual_t = None
+    return {
+        "t": p.t,
+        "J": j,
+        "mobius_image": image,
+        "involution": status,
+        "dual_t": dual_t,
+        "j_transform": None if dual_t is None else INVARIANTS["j"](F) == image,
+    }
 
 
 def mobius(family, zeta):

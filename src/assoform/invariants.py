@@ -177,8 +177,8 @@ def a6_family(p):
 
 
 def _cubic_invariants(p):
-    """A6, A4 and the discriminant A6^2 + 64 A4^3, each evaluated once."""
-    a6, a4 = a6_family(p), aronhold_a4(p.to_poly())
+    """A6, A4 = abcd - d^4 and the discriminant A6^2 + 64 A4^3, each evaluated once."""
+    a6, a4 = a6_family(p), p.a * p.b * p.c * p.d - p.d**4
     return a6, a4, a6**2 + 64 * a4**3
 
 
@@ -198,10 +198,25 @@ def j_cubic_family(p):
 def k_cubic(f):
     """Absolute invariant A6^2/(64 A4^3) + 1, reading f through the family."""
     p = f if isinstance(f, TernaryCubicFamily) else TernaryCubicFamily.from_poly(f)
-    a4 = aronhold_a4(p.to_poly())
+    a6, a4, _ = _cubic_invariants(p)
     if a4 == 0:
         raise VanishingInvariantError("a4")
-    return a6_family(p) ** 2 / (64 * a4**3) + 1
+    return a6**2 / (64 * a4**3) + 1
+
+
+_family = TernaryCubicFamily.from_poly
+
+# the names of `assoform invariant`; binary forms are read as quartics,
+# ternary forms as cubics
+INVARIANTS = {
+    "cat": catalecticant,
+    "i2": i2_quartic,
+    "a4": aronhold_a4,
+    "a6": lambda f: a6_family(_family(f)),
+    "delta": lambda f: delta_quartic(f) if f.nvars == 2 else delta_cubic_family(_family(f)),
+    "j": lambda f: j_quartic(f) if f.nvars == 2 else j_cubic_family(_family(f)),
+    "k": lambda f: k_quartic(f) if f.nvars == 2 else k_cubic(f),
+}
 
 
 def pippian(p):
@@ -345,6 +360,11 @@ class QuinticCovariants:
     def delta(self):
         return self.C40**2 - 128 * self.C80
 
+    @cached_property
+    def _products(self):
+        """C15*C51, C33^2 and C22^3, which the relation and the identity share."""
+        return self.C15 * self.C51, self.C33 * self.C33, self.C22**3
+
 
 def quintic_covariants(s):
     """Evaluate the classical covariants on a Sylvester canonical quintic.
@@ -401,14 +421,8 @@ def verify_quintic_relation(s):
     C40*C26 - C15*C51 + 9 C33^2 - C22^3 + 2 C22*C44 must vanish.
     """
     cov = s._covariants
-    combo = (
-        cov.C40 * cov.C26
-        - cov.C15 * cov.C51
-        + 9 * cov.C33 * cov.C33
-        - cov.C22**3
-        + 2 * cov.C22 * cov.C44
-    )
-    return not combo
+    c15c51, c33sq, c22cube = cov._products
+    return not (cov.C40 * cov.C26 - c15c51 + 9 * c33sq - c22cube + 2 * cov.C22 * cov.C44)
 
 
 def verify_quintic_identity(s):
@@ -425,10 +439,11 @@ def verify_quintic_identity(s):
         raise DegenerateQuinticError("quintic has vanishing discriminant")
     form = associated_form(cov.C15).form
     lhs = s.frame_det**8 * hat(cov.delta * form)
+    c15c51, c33sq, c22cube = cov._products
     rhs = (
         Fraction(1, 20) * cov.C40 * cov.C26
-        - Fraction(3, 50) * cov.C15 * cov.C51
-        + Fraction(27, 10) * cov.C33 * cov.C33
-        - Fraction(1, 10) * cov.C22**3
+        - Fraction(3, 50) * c15c51
+        + Fraction(27, 10) * c33sq
+        - Fraction(1, 10) * c22cube
     )
     return lhs == rhs

@@ -16,12 +16,9 @@ from .duality import (
     Family,
     FamilyPoint,
     InvolutionStatus,
-    _involution,
-    _j_transform,
-    dual_parameter,
-    family_form,
     orbit_duality_check,
     proportional,
+    scan_point,
 )
 from .errors import (
     DegenerateFamilyError,
@@ -119,24 +116,20 @@ def _gen_quintic(rng, count):
         yield desc, passed
 
 
-def _involution_case(point):
-    f = family_form(point)
-    F = associated_form(f).form
-    status = _involution(f, F)
-    try:
-        dual_parameter(point)
-    except ExcludedParameterError:
-        return status is InvolutionStatus.IMAGE_DEGENERATE
-    return status is InvolutionStatus.FIXED and _j_transform(point.family, f, F)
+def _family_point_case(point):
+    row = scan_point(point)
+    if row["dual_t"] is None:
+        return row["involution"] is InvolutionStatus.IMAGE_DEGENERATE
+    return row["involution"] is InvolutionStatus.FIXED and row["j_transform"]
 
 
-def _gen_involution(rng, count):
+def _gen_family_points(rng, count):
     for k in range(count):
         family = Family.BINARY_QUARTIC if k % 2 == 0 else Family.TERNARY_CUBIC
         point, passed = draw(
             rng,
             lambda r: FamilyPoint(family, Fraction(r.randint(-9, 9), r.randint(1, 3))),
-            _involution_case,
+            _family_point_case,
             ExcludedParameterError,
         )
         yield f"{family.value} t={point.t}", passed
@@ -246,7 +239,7 @@ _GENERATORS = {
     "quartic": _gen_quartic,
     "quintic": _gen_quintic,
     "cubic": _gen_cubic,
-    "involution": _gen_involution,
+    "involution": _gen_family_points,
     "equivariance": _gen_equivariance,
     "apolarity": _gen_apolarity,
     "hilbert": _gen_hilbert,

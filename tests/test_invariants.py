@@ -11,6 +11,7 @@ from assoform.errors import (
 )
 from assoform.invariants import (
     SylvesterQuintic,
+    _cubic_invariants,
     TernaryCubicFamily,
     a6_family,
     aronhold_a4,
@@ -170,6 +171,19 @@ def test_aronhold_scaling():
     f = cubic_family_poly(1)
     for lam in (Fraction(3), Fraction(-2, 5)):
         assert aronhold_a4(lam * f) == lam**4 * aronhold_a4(f)
+
+
+def test_family_a4_matches_aronhold_a4():
+    # the family's A4 is read off its parameters as abcd - d^4
+    rng = random.Random(4)
+    nonzero = [Fraction(k, m) for k in range(-5, 6) if k for m in (1, 2, 3)]
+    pool = nonzero + [Fraction(0)]
+    for i in range(200):
+        a = rng.choice(nonzero)  # so the cubic is never the zero form
+        b, c = rng.choice(pool), rng.choice(pool)
+        d = 0 if i % 4 == 0 else rng.choice(pool)
+        p = TernaryCubicFamily(a, b, c, d)
+        assert _cubic_invariants(p)[1] == aronhold_a4(p.to_poly())
 
 
 def test_family_conversion():

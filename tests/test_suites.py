@@ -1,7 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from assoform import cli, duality, invariants, milnor, sampling, suites
-from assoform.duality import Family, FamilyPoint
+from assoform.duality import (
+    Family,
+    FamilyPoint,
+    InvolutionStatus,
+    dual_parameter,
+    family_form,
+    involution_check,
+)
 from assoform.errors import (
     DegenerateFamilyError,
     DegenerateQuinticError,
@@ -9,6 +18,9 @@ from assoform.errors import (
     FiniteColengthError,
     NondegeneracyError,
 )
+from assoform.invariants import TernaryCubicFamily, j_cubic_family, j_quartic
+from assoform.poly import Poly
+from test_cli import PINNED_STDOUT
 
 
 class _Never:
@@ -111,21 +123,74 @@ def test_each_quintic_evaluates_its_covariants_once(monkeypatch):
     assert len(calls) == 5
 
 
+def _counting(original, calls):
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    return counting
+
+
+def test_each_quintic_multiplies_its_covariant_products_once(monkeypatch):
+    # C22^3 is built once and shared by the relation and the identity; it is
+    # the only power of a Poly the suite takes
+    calls = []
+    monkeypatch.setattr(Poly, "__pow__", _counting(Poly.__pow__, calls))
+    result = suites.run_suite("quintic", 0, 5)
+    assert result["pass"]
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_each_involution_point_computes_its_associated_form_once(monkeypatch, capsys, family):
-    # Phi(f) once, Phi(Phi(f)) once: the J comparison reuses the first image
-    original = milnor.associated_form
-    calls = []
-
-    def counting(f):
-        calls.append(f)
-        return original(f)
-
+    # Phi(f) once, Phi(Phi(f)) once: the J comparison reuses the first image.
+    # J(f) once and J(Phi(f)) once: every J reads its family's invariants
+    # through _quartic_invariants or _cubic_invariants, and nothing else in
+    # the scan does
+    phi_calls = []
     for module in (duality, suites, cli):
-        monkeypatch.setattr(module, "associated_form", counting)
-    assert suites._involution_case(FamilyPoint(family, 1))
-    assert len(calls) == 2
-    calls.clear()
+        monkeypatch.setattr(module, "associated_form", _counting(milnor.associated_form, phi_calls))
+    j_calls = []
+    for name in ("_quartic_invariants", "_cubic_invariants"):
+        monkeypatch.setattr(invariants, name, _counting(getattr(invariants, name), j_calls))
+    assert suites._family_point_case(FamilyPoint(family, 1))
+    assert len(phi_calls) == 2
+    assert len(j_calls) == 2
+    phi_calls.clear()
+    j_calls.clear()
     assert cli.main(["duality-scan", family.value, "--t=1"]) == 0
     assert '"involution": "fixed"' in capsys.readouterr().out
-    assert len(calls) == 2
+    assert len(phi_calls) == 2
+    assert len(j_calls) == 2
+
+
+def _reference_family_point_case(point):
+    # involution_check, then the Mobius map of the J-line written out
+    f = family_form(point)
+    status = involution_check(f)
+    try:
+        dual_parameter(point)
+    except ExcludedParameterError:
+        return status is InvolutionStatus.IMAGE_DEGENERATE
+    F = milnor.associated_form(f).form
+    if point.family is Family.BINARY_QUARTIC:
+        j = j_quartic(f)
+        image_j = j_quartic(F) == j / (j - 1)
+    else:
+        j = j_cubic_family(TernaryCubicFamily.from_poly(f))
+        image_j = j_cubic_family(TernaryCubicFamily.from_poly(F)) == 1 / j
+    return status is InvolutionStatus.FIXED and image_j
+
+
+_PINNED_SCAN_POINTS = [
+    (Family(argv[1]), Fraction(t))
+    for argv in PINNED_STDOUT
+    if argv[0] == "duality-scan"
+    for t in argv[2].removeprefix("--t=").split(",")
+]
+
+
+@pytest.mark.parametrize("family, t", _PINNED_SCAN_POINTS, ids=str)
+def test_family_point_case_matches_the_reference_at_every_pinned_scan_point(family, t):
+    point = FamilyPoint(family, t)
+    assert suites._family_point_case(point) == _reference_family_point_case(point)
