@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .apolarity import apolar_tuple
 from .duality import INFINITY, Family, FamilyPoint, scan_point
-from .errors import AssoformError, InputError, NondegeneracyError, PolyParseError
+from .errors import InputError, NondegeneracyError, PolyParseError
 from .invariants import INVARIANTS
 from .milnor import PolyTuple, associated_form, hilbert_function, is_finite_colength
 from .poly import Poly, Space, grlex_key, parse_poly, render_poly
@@ -269,17 +269,23 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     start = time.monotonic()
+    # integers of any length are read and printed exactly, past Python's
+    # int/str conversion limit, for this call only
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         report = args.run(args)
+        report.timing_ms = int((time.monotonic() - start) * 1000)
+        print(report.to_json())
     except PolyParseError as exc:
         return _emit_error(command, exc, 3)
     except InputError as exc:
         return _emit_error(command, exc, 2)
-    except AssoformError as exc:
+    except Exception as exc:
         return _emit_error(command, exc, 4)
-    report.timing_ms = int((time.monotonic() - start) * 1000)
-    print(report.to_json())
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     print(f"completed in {report.timing_ms} ms", file=sys.stderr)
     return 0 if report.status == "pass" else 1
 

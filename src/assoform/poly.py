@@ -14,6 +14,7 @@ consumes one of each. Retagging is a relabeling, not a copy of data.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from math import factorial, lcm, perm, prod
 
@@ -254,120 +255,87 @@ class Poly:
         return cls(nvars, space, dict(zip(basis, vec)))
 
 
+# integer tokens are whole runs of decimal digits; every other non-space
+# character is a token of its own
+_TOKEN = re.compile(r"\d+|\S")
+
+
 def parse_poly(text, nvars, space):
     """Parse polynomial text into a Poly.
 
     Grammar: terms joined by + or -, each term [sign][coeff "*"]varpart
     with coeff = int or int/posint and varpart = ("z"|"e")index["^"exp]
-    factors joined by "*". Whitespace is ignored. A bare rational is a
-    degree-0 term, so "0" is the zero polynomial.
+    factors joined by "*". A bare rational is a degree-0 term, so "0" is
+    the zero polynomial. Whitespace may stand between any two tokens and
+    is otherwise ignored, but it cannot split an integer or separate a
+    variable letter from its index: "z 1" is an error.
 
     >>> parse_poly("z1^4 + 1/2*z1^2*z2^2", 2, "z").items()
     [((4, 0), Fraction(1, 1)), ((2, 2), Fraction(1, 2))]
     """
     space = _coerce_space(space)
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def read_int(what):
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdecimal():
-            pos += 1
-        if pos == start:
-            raise PolyParseError(f"expected {what}", start)
-        return int(text[start:pos])
-
-    def read_var(exps):
-        nonlocal pos
-        letter = text[pos]
-        if letter != space.value:
-            raise PolyParseError(
-                f"variable letter {letter!r} does not match the {space.value}-space", pos
-            )
-        pos += 1
-        idx_start = pos
-        idx = read_int("variable index")
-        if not 1 <= idx <= nvars:
-            raise PolyParseError(f"variable index {idx} out of range 1..{nvars}", idx_start)
-        exp = 1
-        save = pos
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            exp = read_int("exponent")
-        else:
-            pos = save
-        exps[idx - 1] += exp
-
+    # (start, token) pairs closed by an empty token at the end of the text
+    toks = [(m.start(), m.group()) for m in _TOKEN.finditer(text)]
+    if not toks:
+        raise PolyParseError("empty input", len(text))
+    toks.append((len(text), ""))
     terms = []
-    skip_ws()
-    if pos == n:
-        raise PolyParseError("empty input", pos)
-    first = True
-    while pos < n:
+    i = 0
+    while toks[i][1]:
+        pos, tok = toks[i]
         sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
+        if tok in "+-":
+            sign = -1 if tok == "-" else 1
+            i += 1
+            pos, tok = toks[i]
+        elif terms:
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        first = False
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * nvars
-        if pos < n and text[pos].isdecimal():
-            num = read_int("integer")
-            save = pos
-            skip_ws()
-            if pos < n and text[pos] == "/":
-                pos += 1
-                skip_ws()
-                den_start = pos
-                den = read_int("denominator")
-                if den == 0:
-                    raise PolyParseError("zero denominator", den_start)
-                coeff = Fraction(num, den)
-            else:
-                pos = save
-                coeff = Fraction(num)
-            save = pos
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or not text[pos].isalpha():
-                    raise PolyParseError("expected a variable after '*'", pos)
-                read_var(exps)
-            else:
-                pos = save
-                terms.append((tuple(exps), sign * coeff))
-                skip_ws()
-                continue
-        elif pos < n and text[pos].isalpha():
-            read_var(exps)
+        if tok.isdecimal():
+            coeff = int(tok)
+            i += 1
+            if toks[i][1] == "/":
+                pos, den = toks[i + 1]
+                if not den.isdecimal():
+                    raise PolyParseError("expected denominator", pos)
+                den = int(den)
+                if not den:
+                    raise PolyParseError("zero denominator", pos)
+                coeff = Fraction(coeff, den)
+                i += 2
+            more = toks[i][1] == "*"
+            i += more  # past the '*' before the first factor
+        elif tok.isalpha():
+            more = True
         else:
             raise PolyParseError("expected a term", pos)
-        while True:
-            save = pos
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or not text[pos].isalpha():
-                    raise PolyParseError("expected a variable after '*'", pos)
-                read_var(exps)
-            else:
-                pos = save
-                break
+        while more:
+            pos, letter = toks[i]
+            if not letter.isalpha():
+                raise PolyParseError("expected a variable after '*'", pos)
+            if letter != space.value:
+                raise PolyParseError(
+                    f"variable letter {letter!r} does not match the {space.value}-space", pos
+                )
+            idx_pos, idx = toks[i + 1]
+            if idx_pos != pos + 1 or not idx.isdecimal():
+                raise PolyParseError("expected variable index", pos + 1)
+            idx = int(idx)
+            if not 1 <= idx <= nvars:
+                raise PolyParseError(f"variable index {idx} out of range 1..{nvars}", idx_pos)
+            i += 2
+            exp = 1
+            if toks[i][1] == "^":
+                pos, exp = toks[i + 1]
+                if not exp.isdecimal():
+                    raise PolyParseError("expected exponent", pos)
+                exp = int(exp)
+                i += 2
+            exps[idx - 1] += exp
+            more = toks[i][1] == "*"
+            i += more
         terms.append((tuple(exps), sign * coeff))
-        skip_ws()
     return Poly(nvars, space, terms)
 
 

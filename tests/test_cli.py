@@ -1,12 +1,16 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from assoform import apolarity, duality, linalg, milnor, sampling, suites
 from assoform.cli import main
 from assoform.errors import DegenerateFamilyError
-from assoform.invariants import TernaryCubicFamily, a6_family
+from assoform.invariants import INVARIANTS, TernaryCubicFamily, a6_family
+from assoform.milnor import associated_form
+from assoform.poly import Space, parse_poly
 
 
 def run(capsys, *argv):
@@ -278,8 +282,16 @@ def _raise(error):
             ("verify", "cubic", "--seed", "0", "--count", "1"),
             "gave up after 3 draws",
         ),
+        (
+            # an error outside AssoformError, as a library bug would raise
+            milnor,
+            "kernel_line",
+            _raise(ValueError("stub library bug")),
+            ("assoc", "z1^4+z2^4", "--n", "2", "--d", "4"),
+            "stub library bug",
+        ),
     ],
-    ids=["degenerate socle", "involution", "rejection sampling"],
+    ids=["degenerate socle", "involution", "rejection sampling", "ValueError"],
 )
 def test_internal_error_exits_4(capsys, monkeypatch, target, name, stub, argv, message):
     monkeypatch.setattr(target, name, stub)
@@ -289,6 +301,44 @@ def test_internal_error_exits_4(capsys, monkeypatch, target, name, stub, argv, m
     assert doc["status"] == "error"
     assert doc["command"] == argv[0]
     assert message in doc["results"]["error"]["message"]
+
+
+# integers longer than Python's 4300-digit int/str conversion limit: a
+# 4400-digit coefficient read, and a 2500-digit one whose associated form
+# has a 5000-digit denominator printed
+LONG = "3" * 4400
+WIDE = "2" * 2499 + "1"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("assoc", f"{LONG}*z1^3 + z2^3"),
+        ("invariant", f"{LONG}*z1^4 + z2^4"),
+        ("assoc", f"{WIDE}*z1^3 + {WIDE}*z2^3"),
+    ],
+    ids=["assoc 4400 digits", "invariant 4400 digits", "assoc 5000-digit result"],
+)
+def test_integers_of_any_length_are_exact(capsys, command, text):
+    if command == "assoc":
+        argv = ("assoc", text, "--n", "2", "--d", "3")
+    else:
+        argv = ("invariant", "i2", text)
+    limit = sys.get_int_max_str_digits()
+    rc, doc, out = run(capsys, *argv)
+    assert sys.get_int_max_str_digits() == limit
+    assert rc == 0
+    assert out.count("\n") == 1
+    assert doc["status"] == "pass"
+    sys.set_int_max_str_digits(0)
+    try:
+        f = parse_poly(text, 2, Space.Z)
+        if command == "assoc":
+            assert parse_poly(doc["results"]["form"], 2, Space.E) == associated_form(f).form
+        else:
+            assert Fraction(doc["results"]["value"]) == INVARIANTS["i2"](f)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_help_exits_0(capsys):

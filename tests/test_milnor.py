@@ -455,3 +455,64 @@ def test_ideal_graded_dim_of_a_common_factor_matches_a_groebner_basis(n, e):
         dims = [ideal_graded_dim(ft, k) for k in range(ft.top_degree + 2)]
         assert dims == _groebner_dims(ft)
         assert not is_finite_colength(ft)
+
+
+def _socle_line_criterion(ft):
+    # finite colength read off the socle degree nu = n(e-1) alone: the
+    # degree-nu rows leave a one-line kernel lambda, and its n contractions
+    # (lambda_{m+e_i})_m span at least a plane, i.e. the dual form of lambda
+    # is not a power of a linear form
+    n, nu = ft.nvars, ft.top_degree
+    basis = monomial_basis(n, nu)
+    rows = _generator_rows(ft, nu, basis) if nu >= ft.degree else []
+    kernel = linalg.nullspace_rows(rows, len(basis))
+    if len(kernel) != 1:
+        return False, len(kernel)
+    column = {m: c for c, m in enumerate(basis)}
+    contractions = [
+        [kernel[0][column[m[:i] + (m[i] + 1,) + m[i + 1 :]]] for m in monomial_basis(n, nu - 1)]
+        for i in range(n)
+    ]
+    return linalg.rank_rows(contractions) >= 2, 1
+
+
+def _socle_line_tuples(rng, n, e):
+    # dense, a common linear factor, no z1^e term (a common zero at e1), sparse
+    z1e = (e,) + (0,) * (n - 1)
+    basis = monomial_basis(n, e)
+    line = Poly(n, Space.Z, {m: rng.choice([-2, -1, 1, 2]) for m in monomial_basis(n, 1)})
+    factored = [line * f for f in _random_tuple(rng, n, e - 1, rational=False).forms]
+    while True:
+        no_z1e = [
+            Poly(n, Space.Z, {m: c for m, c in f.items() if m != z1e})
+            for f in _random_tuple(rng, n, e, rational=True).forms
+        ]
+        if all(no_z1e):
+            break
+    sparse = [
+        Poly(n, Space.Z, {m: rng.choice([-3, -1, 1, 2]) for m in rng.sample(basis, 2)})
+        for _ in range(n)
+    ]
+    dense = _random_tuple(rng, n, e, rational=False)
+    return [dense, PolyTuple(factored), PolyTuple(no_z1e), PolyTuple(sparse)]
+
+
+def test_finite_colength_is_decided_by_the_socle_line():
+    # for n, e >= 2, nu >= e gives I_{nu+1} = R_1 I_nu, so the degree-nu rows
+    # decide what socle_functional's fullness matrix in degree nu + 1 decides
+    rng = random.Random(71)
+    verdicts, one_line_degenerate = set(), 0
+    for n, e in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        for _ in range(8):
+            for ft in _socle_line_tuples(rng, n, e):
+                criterion, kernel_dim = _socle_line_criterion(ft)
+                assert criterion == is_finite_colength(ft), ft
+                verdicts.add(criterion)
+                one_line_degenerate += not criterion and kernel_dim == 1
+    assert verdicts == {False, True}
+    assert one_line_degenerate
+    # n = 1 lies outside the criterion: z1^2 has finite colength, but its
+    # socle degree nu = 1 is below e and its one-line kernel contracts to rank 1
+    z1_squared = PolyTuple([zp("z1^2", 1)])
+    assert is_finite_colength(z1_squared)
+    assert _socle_line_criterion(z1_squared) == (False, 1)

@@ -83,6 +83,33 @@ def test_parse_error_position():
     assert info.value.position == 6
 
 
+# one input per parse error the grammar can raise, in the z-space with n = 2
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("   ", "empty input", 3),
+        ("z1 z2", "expected '+' or '-' between terms", 3),
+        ("z1²", "expected '+' or '-' between terms", 2),
+        ("2 z1", "expected '+' or '-' between terms", 2),
+        ("z1 + ^", "expected a term", 5),
+        ("z1 +", "expected a term", 4),
+        ("3/0*z1", "zero denominator", 2),
+        ("3*", "expected a variable after '*'", 2),
+        ("z1*2", "expected a variable after '*'", 3),
+        ("e1", "variable letter 'e' does not match the z-space", 0),
+        ("z3", "variable index 3 out of range 1..2", 1),
+        ("z 1", "expected variable index", 1),
+        ("z1^", "expected exponent", 3),
+        ("1/", "expected denominator", 2),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(PolyParseError) as info:
+        zp(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
 def test_render_roundtrip_examples():
     assert render_poly(ep("1/24*e1^2*e2^2")) == "1/24*e1^2*e2^2"
     assert render_poly(zp("z1^4 - 12*z1^2*z2^2 + z2^4")) == "z1^4 - 12*z1^2*z2^2 + z2^4"

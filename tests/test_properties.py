@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import bareiss
 import pytest
+import scanner
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from assoform import linalg  # noqa: E402
+from assoform.errors import PolyParseError  # noqa: E402
 from assoform.invariants import SylvesterQuintic, quintic_covariants  # noqa: E402
 from assoform.linalg import MatrixQ, nullspace_rows, rank_rows  # noqa: E402
 from assoform.milnor import (  # noqa: E402
@@ -89,6 +91,46 @@ def any_poly(draw):
 def test_parse_inverts_render(p):
     assert parse_poly(render_poly(p), p.nvars, p.space) == p
 
+
+# the grammar's characters, both whitespaces, and look-alikes that are not
+# grammar: a superscript digit, an Arabic-Indic digit (decimal, so a digit
+# run), a non-z/e letter, a capital letter and a zero denominator
+parse_fragments = st.sampled_from(
+    list("ze0123456789+-*/^ \t²١ß") + ["Z1", "/0", "z1", "e2", "12", "^2", " * "]
+)
+parse_cases = st.tuples(
+    st.lists(parse_fragments, max_size=24).map("".join),
+    st.integers(1, 2),
+    st.sampled_from(list(Space)),
+)
+
+
+def parse_outcome(parse, text, n, space):
+    try:
+        return parse(text, n, space)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(parse_cases)
+def test_parse_matches_the_character_scanner(case):
+    assert parse_outcome(parse_poly, *case) == parse_outcome(scanner.parse_poly, *case)
+
+
+# any text at all; texts of at most 40 characters or 24 fragments keep
+# every digit run below the 4300-digit int/str conversion limit
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.text(max_size=40), parse_cases.map(lambda case: case[0])),
+    st.integers(1, 3),
+    st.sampled_from(list(Space)),
+)
+def test_parse_returns_a_poly_or_raises_a_parse_error(text, n, space):
+    try:
+        assert isinstance(parse_poly(text, n, space), Poly)
+    except PolyParseError:
+        pass
 
 
 @st.composite
